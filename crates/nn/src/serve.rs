@@ -59,6 +59,7 @@ use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::backend::split_seed;
 use lt_core::{ComputeBackend, GaussianSampler, Trace, TraceRecorder};
 use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool, ThreadsConfig};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -124,38 +125,178 @@ pub struct Reply {
     pub trace: Trace,
 }
 
-/// A handle to one in-flight request.
+/// A handle to one in-flight request of either threaded server: a
+/// classifier [`Reply`] ([`PendingReply`]) or a decode stream
+/// ([`decode::PendingDecode`]).
 #[derive(Debug)]
-pub struct PendingReply {
+pub struct Pending<R> {
     ticket: u64,
-    rx: Receiver<Reply>,
+    rx: Receiver<R>,
 }
 
-impl PendingReply {
+impl<R> Pending<R> {
     /// The queue ticket (submission order, also the noise-stream index).
     pub fn ticket(&self) -> u64 {
         self.ticket
     }
 
-    /// Blocks until the reply (logits + hardware cost) arrives.
+    /// Blocks until the reply arrives.
     ///
     /// # Panics
     ///
-    /// Panics if the server was shut down before serving this request,
-    /// or if the request itself was malformed (e.g. a wrong-length
-    /// token sequence) and its forward pass panicked — other requests
-    /// and the worker are unaffected.
-    pub fn wait(self) -> Reply {
+    /// Panics if the request was malformed (e.g. a wrong-length token
+    /// sequence or an empty prompt) and its worker failed it — other
+    /// requests and the worker are unaffected — or if the worker died.
+    pub fn wait(self) -> R {
         self.rx
             .recv()
             .expect("request failed or server dropped before replying")
     }
 }
 
+/// A handle to one in-flight classifier request.
+pub type PendingReply = Pending<Reply>;
+
+/// One queued request and the channel its reply goes back on.
 #[derive(Debug)]
-struct Job {
-    request: Request,
-    reply: Sender<Reply>,
+struct Job<Q, R> {
+    request: Q,
+    reply: Sender<R>,
+}
+
+/// The worker/queue shell both threaded servers run on: named worker
+/// threads over one [`BatchQueue`], reply routing, the `served` count,
+/// and the close-drain-join shutdown (also on drop). A server supplies
+/// only the worker body, which pulls requests through its [`Intake`]
+/// and answers them there.
+#[derive(Debug)]
+struct WorkerShell<Q, R> {
+    queue: Arc<BatchQueue<Job<Q, R>>>,
+    served: Arc<AtomicU64>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl<Q, R> WorkerShell<Q, R> {
+    /// Starts `workers` (at least one) threads named `{name}-{w}` over
+    /// a queue of batches of at most `max_batch`. Worker `w` runs the
+    /// body `body_for(w)` builds on the caller's thread.
+    fn spawn<F>(
+        name: &str,
+        workers: usize,
+        max_batch: usize,
+        mut body_for: impl FnMut(usize) -> F,
+    ) -> Self
+    where
+        Q: Send + 'static,
+        R: Send + 'static,
+        F: FnOnce(&mut Intake<Q, R>) + Send + 'static,
+    {
+        let queue = Arc::new(BatchQueue::new(max_batch.max(1)));
+        let served = Arc::new(AtomicU64::new(0));
+        let workers = (0..workers.max(1))
+            .map(|w| {
+                let body = body_for(w);
+                let mut intake = Intake {
+                    queue: Arc::clone(&queue),
+                    served: Arc::clone(&served),
+                    replies: HashMap::new(),
+                };
+                std::thread::Builder::new()
+                    .name(format!("{name}-{w}"))
+                    .spawn(move || body(&mut intake))
+                    .expect("failed to spawn serve worker")
+            })
+            .collect();
+        WorkerShell {
+            queue,
+            served,
+            workers,
+        }
+    }
+
+    /// Enqueues a request; returns immediately with its reply handle.
+    fn submit(&self, request: Q) -> Pending<R> {
+        let (reply, rx) = channel();
+        let ticket = self.queue.submit(Job { request, reply });
+        Pending { ticket, rx }
+    }
+
+    /// Requests answered so far (failed ones are drained, not counted).
+    fn served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
+    }
+
+    /// Drains outstanding requests, stops the workers, and returns the
+    /// number of requests answered.
+    fn shutdown(mut self) -> u64 {
+        self.stop();
+        self.served()
+    }
+
+    /// Closes the queue (the workers still drain it) and joins them.
+    fn stop(&mut self) {
+        self.queue.close();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+}
+
+impl<Q, R> Drop for WorkerShell<Q, R> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// A worker's end of the [`WorkerShell`]: takes requests off the shared
+/// queue and routes each answer back to the client that submitted it.
+#[derive(Debug)]
+struct Intake<Q, R> {
+    queue: Arc<BatchQueue<Job<Q, R>>>,
+    served: Arc<AtomicU64>,
+    replies: HashMap<u64, Sender<R>>,
+}
+
+impl<Q, R> Intake<Q, R> {
+    /// Blocks for the next batch; `None` once the queue is closed and
+    /// drained.
+    fn next_batch(&mut self) -> Option<Vec<(u64, Q)>> {
+        let batch = self.queue.next_batch()?;
+        Some(self.accept(batch))
+    }
+
+    /// Takes up to `limit` waiting requests without blocking.
+    fn try_take(&mut self, limit: usize) -> Vec<(u64, Q)> {
+        match self.queue.try_take(limit) {
+            Some(batch) => self.accept(batch),
+            None => Vec::new(),
+        }
+    }
+
+    fn accept(&mut self, batch: Vec<(u64, Job<Q, R>)>) -> Vec<(u64, Q)> {
+        batch
+            .into_iter()
+            .map(|(ticket, job)| {
+                self.replies.insert(ticket, job.reply);
+                (ticket, job.request)
+            })
+            .collect()
+    }
+
+    /// Answers `ticket` and counts it served. A client that dropped its
+    /// handle just doesn't read the reply.
+    fn reply(&mut self, ticket: u64, reply: R) {
+        self.served.fetch_add(1, Ordering::Relaxed);
+        if let Some(tx) = self.replies.remove(&ticket) {
+            let _ = tx.send(reply);
+        }
+    }
+
+    /// Fails `ticket`: its sender is dropped, so the client's
+    /// [`Pending::wait`] panics with a clear message.
+    fn fail(&mut self, ticket: u64) {
+        self.replies.remove(&ticket);
+    }
 }
 
 /// The batching inference server. See the [module docs](self).
@@ -182,9 +323,7 @@ struct Job {
 /// ```
 #[derive(Debug)]
 pub struct Server {
-    queue: Arc<BatchQueue<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    served: Arc<AtomicU64>,
+    shell: WorkerShell<Request, Reply>,
     batches: Arc<AtomicU64>,
 }
 
@@ -223,79 +362,59 @@ impl Server {
         backend: B,
         config: ServeConfig,
     ) -> Self {
-        let queue: Arc<BatchQueue<Job>> = Arc::new(BatchQueue::new(config.max_batch.max(1)));
-        let served = Arc::new(AtomicU64::new(0));
         let batches = Arc::new(AtomicU64::new(0));
-        let workers = (0..config.workers.max(1))
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let served = Arc::clone(&served);
-                let batches = Arc::clone(&batches);
-                let mut vision = vision.clone();
-                let mut text = text.clone();
-                let backend = backend.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("lt-serve-worker-{w}"))
-                    .spawn(move || {
-                        // One simulator per worker, built once and reused
-                        // to cost every request it serves.
-                        let sim = Simulator::new(config.arch.clone());
-                        while let Some(batch) = queue.next_batch() {
-                            batches.fetch_add(1, Ordering::Relaxed);
-                            for (ticket, job) in batch {
-                                // Contain per-request panics (wrong
-                                // sequence length, out-of-range token
-                                // id, ...): the offending client's
-                                // reply sender is dropped — its `wait`
-                                // panics with a clear message — while
-                                // the rest of the batch and the worker
-                                // survive. Model forward caches are
-                                // overwritten on every pass, so the
-                                // clones stay valid after an unwind.
-                                let outcome =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        serve_one(
-                                            &mut vision,
-                                            &mut text,
-                                            &backend,
-                                            &config,
-                                            &sim,
-                                            ticket,
-                                            &job.request,
-                                        )
-                                    }));
-                                if let Ok(reply) = outcome {
-                                    served.fetch_add(1, Ordering::Relaxed);
-                                    // A client that dropped its handle
-                                    // just doesn't read the reply.
-                                    let _ = job.reply.send(reply);
-                                }
-                            }
+        let shell = WorkerShell::spawn("lt-serve-worker", config.workers, config.max_batch, |_| {
+            let batches = Arc::clone(&batches);
+            let mut vision = vision.clone();
+            let mut text = text.clone();
+            let backend = backend.clone();
+            let config = config.clone();
+            move |intake: &mut Intake<Request, Reply>| {
+                // One simulator per worker, built once and reused to
+                // cost every request it serves.
+                let sim = Simulator::new(config.arch.clone());
+                while let Some(batch) = intake.next_batch() {
+                    batches.fetch_add(1, Ordering::Relaxed);
+                    for (ticket, request) in batch {
+                        // Contain per-request panics (wrong sequence
+                        // length, out-of-range token id, ...): the
+                        // offending request fails while the rest of
+                        // the batch and the worker survive. Model
+                        // forward caches are overwritten on every
+                        // pass, so the clones stay valid after an
+                        // unwind.
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                serve_one(
+                                    &mut vision,
+                                    &mut text,
+                                    &backend,
+                                    &config,
+                                    &sim,
+                                    ticket,
+                                    &request,
+                                )
+                            }));
+                        match outcome {
+                            Ok(reply) => intake.reply(ticket, reply),
+                            Err(_) => intake.fail(ticket),
                         }
-                    })
-                    .expect("failed to spawn serve worker")
-            })
-            .collect();
-        Server {
-            queue,
-            workers,
-            served,
-            batches,
-        }
+                    }
+                }
+            }
+        });
+        Server { shell, batches }
     }
 
     /// Enqueues a request; returns immediately with a reply handle.
     pub fn submit(&self, request: Request) -> PendingReply {
-        let (reply, rx) = channel();
-        let ticket = self.queue.submit(Job { request, reply });
-        PendingReply { ticket, rx }
+        self.shell.submit(request)
     }
 
     /// Requests served *successfully* so far (a request whose forward
     /// pass panicked — malformed input — is drained but not counted).
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.shell.served()
     }
 
     /// Batches drained so far; `served() / batches()` is the realized
@@ -306,21 +425,8 @@ impl Server {
 
     /// Drains outstanding requests, stops the workers, and returns the
     /// total number of requests served successfully.
-    pub fn shutdown(mut self) -> u64 {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.served()
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) -> u64 {
+        self.shell.shutdown()
     }
 }
 
@@ -511,5 +617,43 @@ mod tests {
         assert!(a.ticket() < b.ticket());
         a.wait();
         b.wait();
+    }
+
+    #[test]
+    fn shutdown_answers_every_queued_request_and_dropped_handles_do_not_stall() {
+        // The workers wait at a gate until the queue is closed, so all
+        // ten requests are still queued when `shutdown` starts: the
+        // close must drain them, not drop them. Odd tickets' clients
+        // hang up first; their replies go nowhere, and the workers move
+        // on.
+        let (open, gate) = channel::<()>();
+        let gate = Arc::new(std::sync::Mutex::new(gate));
+        let shell = WorkerShell::spawn("lt-shell-test", 2, 3, |_| {
+            let gate = Arc::clone(&gate);
+            move |intake: &mut Intake<u64, u64>| {
+                let _ = gate.lock().expect("gate").recv();
+                while let Some(batch) = intake.next_batch() {
+                    for (ticket, x) in batch {
+                        intake.reply(ticket, 2 * x);
+                    }
+                }
+            }
+        });
+        let (kept, hung_up): (Vec<_>, Vec<_>) = (0..10u64)
+            .map(|x| shell.submit(x))
+            .partition(|p| p.ticket() % 2 == 0);
+        drop(hung_up);
+        let queue = Arc::clone(&shell.queue);
+        let closer = std::thread::spawn(move || shell.shutdown());
+        while !queue.is_closed() {
+            std::thread::yield_now();
+        }
+        assert_eq!(queue.len(), 10, "nothing was taken before shutdown");
+        drop(open);
+        assert_eq!(closer.join().expect("shutdown"), 10, "all ten served");
+        for p in kept {
+            let ticket = p.ticket();
+            assert_eq!(p.wait(), 2 * ticket, "tickets follow submission order");
+        }
     }
 }

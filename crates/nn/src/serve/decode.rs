@@ -14,9 +14,9 @@
 //! projections, `[1, dh] x [dh, ctx]` attention) coalesce into
 //! multi-instance ops that fill hardware tiles a lone token would leave
 //! idle, so the batched cycles-per-token drop below the one-at-a-time
-//! cost — [`DecodeServer::batched_cycles`] vs.
-//! [`DecodeServer::sequential_cycles`] quantifies exactly that on every
-//! run.
+//! cost — [`DecodeServerStats::batched_cycles`] vs.
+//! [`DecodeServerStats::sequential_cycles`] in [`DecodeServer::stats`]
+//! quantifies exactly that on every run.
 //!
 //! # Determinism
 //!
@@ -27,17 +27,14 @@
 //! different `max_active` — returns bit-identical replies
 //! (`tests/runtime_determinism.rs`).
 
-use crate::decode::{DecodeReply, DecoderLm, DraftLm, SessionConfig};
+use super::{Intake, Pending, WorkerShell};
+use crate::decode::{DecodeReply, DecoderLm, DraftLm};
 use crate::quant::QuantConfig;
 use crate::serve::sched::{KvScheduler, KvServeConfig};
 use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::{ComputeBackend, Trace};
-use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool, ThreadsConfig};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use lt_runtime::{ParallelBackend, ThreadPool, ThreadsConfig};
+use std::sync::{Arc, Mutex};
 
 /// One autoregressive generation request.
 #[derive(Debug, Clone)]
@@ -87,23 +84,6 @@ impl SpecConfig {
     /// Whether speculation is on.
     pub fn is_enabled(&self) -> bool {
         self.k > 0
-    }
-
-    /// Applies these knobs to a freshly built scheduler: identity when
-    /// disabled, [`KvScheduler::with_speculation_draft`] with the
-    /// explicit draft when one is set, the self-speculative default
-    /// otherwise.
-    pub fn apply<'m, B: ComputeBackend + Clone>(
-        &self,
-        sched: KvScheduler<'m, B>,
-    ) -> KvScheduler<'m, B> {
-        if !self.is_enabled() {
-            return sched;
-        }
-        match &self.draft {
-            Some(draft) => sched.with_speculation_draft(self.k, draft.clone()),
-            None => sched.with_speculation(self.k),
-        }
     }
 }
 
@@ -165,38 +145,7 @@ impl Default for DecodeServeConfig {
 }
 
 /// A handle to one in-flight decode request.
-#[derive(Debug)]
-pub struct PendingDecode {
-    ticket: u64,
-    rx: Receiver<DecodeReply>,
-}
-
-impl PendingDecode {
-    /// The queue ticket (submission order, also the noise-stream index).
-    pub fn ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// Blocks until the reply (tokens + prefill and per-token costs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server shut down before serving this request, or if
-    /// the request was malformed (empty prompt, context overflow,
-    /// out-of-vocabulary token) and its session panicked — other
-    /// requests and the worker are unaffected.
-    pub fn wait(self) -> DecodeReply {
-        self.rx
-            .recv()
-            .expect("decode request failed or server dropped before replying")
-    }
-}
-
-#[derive(Debug)]
-struct Job {
-    request: DecodeRequest,
-    reply: Sender<DecodeReply>,
-}
+pub type PendingDecode = Pending<DecodeReply>;
 
 /// Merges one scheduler tick's per-session step traces into the batched
 /// decode form ([`Trace::batch_rows`]: each session's `[1, k] x [k, n]`
@@ -244,28 +193,77 @@ pub fn speculative_tick_cost(
 /// ```
 #[derive(Debug)]
 pub struct DecodeServer {
-    queue: Arc<BatchQueue<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    counters: Arc<ServerCounters>,
+    shell: WorkerShell<DecodeRequest, DecodeReply>,
+    /// Each worker's totals as of its latest tick.
+    slots: Vec<Arc<Mutex<DecodeServerStats>>>,
 }
 
-/// Shared server-wide counters, updated by the workers.
-#[derive(Debug, Default)]
-struct ServerCounters {
-    served: AtomicU64,
-    decoded_tokens: AtomicU64,
-    ticks: AtomicU64,
-    batched_cycles: AtomicU64,
-    sequential_cycles: AtomicU64,
-    preemptions: AtomicU64,
-    resumes: AtomicU64,
-    prefix_hits: AtomicU64,
-    peak_resident: AtomicU64,
-    schedule_hits: AtomicU64,
-    schedule_misses: AtomicU64,
-    spec_proposed: AtomicU64,
-    spec_accepted: AtomicU64,
-    draft_cycles: AtomicU64,
+/// A [`DecodeServer`]'s counters, summed over its workers
+/// ([`DecodeServer::stats`]). All but the two cycle totals are read
+/// from the workers' [`crate::serve::sched::KvSchedStats`] and
+/// simulator schedule caches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeServerStats {
+    /// Requests fully served (malformed ones are drained, not counted).
+    pub served: u64,
+    /// Tokens produced by decode steps (excludes the prefill-sampled
+    /// first token of each request — the memory-bound per-token regime).
+    pub decoded_tokens: u64,
+    /// Scheduler ticks that stepped at least one session;
+    /// `decoded_tokens / ticks` is the realized continuous-batch width.
+    pub ticks: u64,
+    /// Replayed photonic cycles of the *merged* per-tick step traces —
+    /// what the accelerator would spend running each tick's sessions as
+    /// one batch.
+    pub batched_cycles: u64,
+    /// Replayed photonic cycles of every session's step costed alone —
+    /// what the accelerator would spend serving the same tokens one
+    /// request at a time (batch 1).
+    pub sequential_cycles: u64,
+    /// Sessions evicted from the KV pool under memory pressure.
+    pub preemptions: u64,
+    /// Preempted sessions brought back to residency.
+    pub resumes: u64,
+    /// Admissions that borrowed a cached prompt prefix (only nonzero
+    /// with `kv.prefix_sharing` on).
+    pub prefix_hits: u64,
+    /// High-water mark of simultaneously KV-resident sessions on any
+    /// one worker — how many decodes the pool actually held at once.
+    pub peak_resident_sessions: usize,
+    /// Draft tokens proposed by speculative steps (zero unless
+    /// [`DecodeServeConfig::spec`] is enabled).
+    pub spec_proposed: u64,
+    /// Draft proposals the target accepted.
+    pub spec_accepted: u64,
+    /// Replayed draft-model cycles — the speculation overhead, itemized
+    /// separately from the target's batched/sequential cycles.
+    pub draft_cycles: u64,
+    /// Schedule-cache hits ([`lt_arch::ScheduleCacheStats`]): per-token
+    /// replay repeats the same GEMM shapes, so after warmup nearly every
+    /// op costs a map lookup instead of a tile-plan rebuild.
+    pub schedule_cache_hits: u64,
+    /// Schedule-cache misses (tile plans built).
+    pub schedule_cache_misses: u64,
+}
+
+impl DecodeServerStats {
+    /// Adds another worker's totals (the residency peak takes the max).
+    fn merge(&mut self, w: &DecodeServerStats) {
+        self.served += w.served;
+        self.decoded_tokens += w.decoded_tokens;
+        self.ticks += w.ticks;
+        self.batched_cycles += w.batched_cycles;
+        self.sequential_cycles += w.sequential_cycles;
+        self.preemptions += w.preemptions;
+        self.resumes += w.resumes;
+        self.prefix_hits += w.prefix_hits;
+        self.peak_resident_sessions = self.peak_resident_sessions.max(w.peak_resident_sessions);
+        self.spec_proposed += w.spec_proposed;
+        self.spec_accepted += w.spec_accepted;
+        self.draft_cycles += w.draft_cycles;
+        self.schedule_cache_hits += w.schedule_cache_hits;
+        self.schedule_cache_misses += w.schedule_cache_misses;
+    }
 }
 
 impl DecodeServer {
@@ -304,260 +302,122 @@ impl DecodeServer {
         // Reject impossible pools on the caller's thread, before any
         // worker starts.
         config.kv.validate(&model.config(), &config.arch);
-        let queue: Arc<BatchQueue<Job>> = Arc::new(BatchQueue::new(config.max_active.max(1)));
-        let counters = Arc::new(ServerCounters::default());
-        let workers = (0..config.workers.max(1))
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let counters = Arc::clone(&counters);
-                let model = model.clone();
-                let backend = backend.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("lt-decode-worker-{w}"))
-                    .spawn(move || worker_loop(&model, &backend, &config, &queue, &counters))
-                    .expect("failed to spawn decode worker")
-            })
-            .collect();
-        DecodeServer {
-            queue,
-            workers,
-            counters,
-        }
+        let workers = config.workers.max(1);
+        let slots: Vec<Arc<Mutex<DecodeServerStats>>> =
+            (0..workers).map(|_| Arc::default()).collect();
+        let shell = WorkerShell::spawn("lt-decode-worker", workers, config.max_active, |w| {
+            let slot = Arc::clone(&slots[w]);
+            let model = model.clone();
+            let backend = backend.clone();
+            let config = config.clone();
+            move |intake: &mut Intake<DecodeRequest, DecodeReply>| {
+                worker_loop(&model, &backend, &config, intake, &slot)
+            }
+        });
+        DecodeServer { shell, slots }
     }
 
     /// Enqueues a request; returns immediately with a reply handle.
     pub fn submit(&self, request: DecodeRequest) -> PendingDecode {
-        let (reply, rx) = channel();
-        let ticket = self.queue.submit(Job { request, reply });
-        PendingDecode { ticket, rx }
+        self.shell.submit(request)
     }
 
-    /// Requests fully served so far (malformed ones are drained, not
-    /// counted).
-    pub fn served(&self) -> u64 {
-        self.counters.served.load(Ordering::Relaxed)
-    }
-
-    /// Tokens produced by decode steps (excludes the prefill-sampled
-    /// first token of each request — the memory-bound per-token regime).
-    pub fn decoded_tokens(&self) -> u64 {
-        self.counters.decoded_tokens.load(Ordering::Relaxed)
-    }
-
-    /// Scheduler ticks executed; `decoded_tokens() / ticks()` is the
-    /// realized continuous-batch width.
-    pub fn ticks(&self) -> u64 {
-        self.counters.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Replayed photonic cycles of the *merged* per-tick step traces —
-    /// what the accelerator would spend running each tick's sessions as
-    /// one batch.
-    pub fn batched_cycles(&self) -> u64 {
-        self.counters.batched_cycles.load(Ordering::Relaxed)
-    }
-
-    /// Replayed photonic cycles of every session's step costed alone —
-    /// what the accelerator would spend serving the same tokens one
-    /// request at a time (batch 1).
-    pub fn sequential_cycles(&self) -> u64 {
-        self.counters.sequential_cycles.load(Ordering::Relaxed)
-    }
-
-    /// Sessions evicted from the KV pool under memory pressure.
-    pub fn preemptions(&self) -> u64 {
-        self.counters.preemptions.load(Ordering::Relaxed)
-    }
-
-    /// Preempted sessions brought back to residency.
-    pub fn resumes(&self) -> u64 {
-        self.counters.resumes.load(Ordering::Relaxed)
-    }
-
-    /// Admissions that borrowed a cached prompt prefix (only nonzero
-    /// with `kv.prefix_sharing` on).
-    pub fn prefix_hits(&self) -> u64 {
-        self.counters.prefix_hits.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of simultaneously KV-resident sessions on any
-    /// one worker — how many decodes the pool actually held at once.
-    pub fn peak_resident_sessions(&self) -> u64 {
-        self.counters.peak_resident.load(Ordering::Relaxed)
-    }
-
-    /// Draft tokens proposed by speculative steps across all workers
-    /// (zero unless [`DecodeServeConfig::spec`] is enabled).
-    pub fn spec_proposed(&self) -> u64 {
-        self.counters.spec_proposed.load(Ordering::Relaxed)
-    }
-
-    /// Draft proposals the target accepted.
-    pub fn spec_accepted(&self) -> u64 {
-        self.counters.spec_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Replayed draft-model cycles — the speculation overhead, itemized
-    /// separately from the target's batched/sequential cycles.
-    pub fn draft_cycles(&self) -> u64 {
-        self.counters.draft_cycles.load(Ordering::Relaxed)
-    }
-
-    /// Schedule-cache `(hits, misses)` summed across every worker's
-    /// simulator ([`lt_arch::ScheduleCacheStats`]): per-token replay
-    /// repeats the same GEMM shapes, so after warmup nearly every op
-    /// costs a map lookup instead of a tile-plan rebuild.
-    pub fn schedule_cache_hits_misses(&self) -> (u64, u64) {
-        (
-            self.counters.schedule_hits.load(Ordering::Relaxed),
-            self.counters.schedule_misses.load(Ordering::Relaxed),
-        )
+    /// The server's counters now (each worker's as of its latest tick).
+    pub fn stats(&self) -> DecodeServerStats {
+        let mut total = DecodeServerStats {
+            served: self.shell.served(),
+            ..DecodeServerStats::default()
+        };
+        for slot in &self.slots {
+            total.merge(
+                &slot
+                    .lock()
+                    .expect("a decode worker panicked while publishing"),
+            );
+        }
+        total
     }
 
     /// Drains outstanding requests, stops the workers, and returns the
     /// number of requests served.
-    pub fn shutdown(mut self) -> u64 {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.served()
-    }
-}
-
-impl Drop for DecodeServer {
-    fn drop(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) -> u64 {
+        self.shell.shutdown()
     }
 }
 
 /// The continuous-batching worker: a [`KvScheduler`] over this worker's
 /// own block pool does the admission, reservation, preemption, and
 /// stepping; the loop feeds it from the shared queue (blocking only
-/// when the scheduler is idle) and routes finished replies back to
-/// their clients. Malformed requests (empty prompt, context overflow,
+/// when the scheduler is idle), publishes its totals to `slot` after
+/// every tick, and routes finished replies back to their clients.
+/// Malformed requests (empty prompt, context overflow,
 /// out-of-vocabulary token) are contained by the scheduler — the
-/// offending client's sender is dropped, its `wait` panics with a clear
-/// message, and the worker survives.
+/// offending request fails, and the worker survives.
 fn worker_loop<B: ComputeBackend + Clone>(
     model: &DecoderLm,
     backend: &B,
     config: &DecodeServeConfig,
-    queue: &BatchQueue<Job>,
-    counters: &ServerCounters,
+    intake: &mut Intake<DecodeRequest, DecodeReply>,
+    slot: &Mutex<DecodeServerStats>,
 ) {
     let sim = Simulator::new(config.arch.clone());
-    let session_config = SessionConfig {
-        seed: config.seed,
-        quant: config.quant,
-        kv_bits: config.arch.precision_bits,
-    };
-    let mut sched = config.spec.apply(
-        KvScheduler::new(
-            model,
-            &sim,
-            backend.clone(),
-            session_config,
-            config.kv,
-            config.max_active,
-        )
-        .with_prefill_chunk(config.prefill_chunk_tokens),
-    );
-    let mut replies: HashMap<u64, Sender<DecodeReply>> = HashMap::new();
-    // Scheduler counters already published to the shared totals.
-    let (mut preempt_seen, mut resume_seen, mut prefix_seen) = (0u64, 0u64, 0u64);
-    let (mut hits_seen, mut misses_seen) = (0u64, 0u64);
-    let (mut proposed_seen, mut accepted_seen, mut draft_seen) = (0u64, 0u64, 0u64);
+    let mut sched = KvScheduler::from_config(model, &sim, backend.clone(), config);
+    // The only counts that are this loop's own: the scheduler and the
+    // simulator keep everything else.
+    let (mut batched_cycles, mut sequential_cycles) = (0u64, 0u64);
     loop {
         // Intake: block only when there is nothing to step or resume;
         // top up free in-flight slots without blocking otherwise.
         let admitted = if sched.has_work() {
-            queue.try_take(sched.free_slots()).unwrap_or_default()
+            intake.try_take(sched.free_slots())
         } else {
-            match queue.next_batch() {
+            match intake.next_batch() {
                 Some(batch) => batch,
                 None => break, // closed and drained
             }
         };
-        for (ticket, job) in admitted {
-            replies.insert(ticket, job.reply);
-            sched.submit(ticket, job.request);
+        for (ticket, request) in admitted {
+            sched.submit(ticket, request);
         }
 
         if let Some(outcome) = sched.tick() {
             // Admission-only and prefill-only rounds (chunked mode)
-            // carry no decode steps — don't count them as batch ticks.
+            // carry no decode steps, so they cost nothing here.
             if !outcome.step_traces.is_empty() {
                 let tick_cost = if config.spec.is_enabled() {
                     speculative_tick_cost(&outcome.step_traces, &outcome.draft_traces, &sim)
                 } else {
                     batched_tick_cost(&outcome.step_traces, &sim)
                 };
-                counters
-                    .batched_cycles
-                    .fetch_add(tick_cost.cycles, Ordering::Relaxed);
-                counters
-                    .sequential_cycles
-                    .fetch_add(outcome.sequential_cycles, Ordering::Relaxed);
-                counters.decoded_tokens.fetch_add(
-                    outcome.emitted.iter().sum::<usize>() as u64,
-                    Ordering::Relaxed,
-                );
-                counters.ticks.fetch_add(1, Ordering::Relaxed);
+                batched_cycles += tick_cost.cycles;
+                sequential_cycles += outcome.sequential_cycles;
             }
         }
 
         let stats = sched.stats();
-        counters
-            .preemptions
-            .fetch_add(stats.preemptions - preempt_seen, Ordering::Relaxed);
-        preempt_seen = stats.preemptions;
-        counters
-            .resumes
-            .fetch_add(stats.resumes - resume_seen, Ordering::Relaxed);
-        resume_seen = stats.resumes;
-        counters
-            .prefix_hits
-            .fetch_add(stats.prefix_hits - prefix_seen, Ordering::Relaxed);
-        prefix_seen = stats.prefix_hits;
-        counters
-            .peak_resident
-            .fetch_max(stats.peak_resident_sessions as u64, Ordering::Relaxed);
-        counters
-            .spec_proposed
-            .fetch_add(stats.spec.proposed - proposed_seen, Ordering::Relaxed);
-        proposed_seen = stats.spec.proposed;
-        counters
-            .spec_accepted
-            .fetch_add(stats.spec.accepted - accepted_seen, Ordering::Relaxed);
-        accepted_seen = stats.spec.accepted;
-        counters
-            .draft_cycles
-            .fetch_add(stats.spec.draft_cycles - draft_seen, Ordering::Relaxed);
-        draft_seen = stats.spec.draft_cycles;
         let cache = sim.schedule_cache_stats();
-        counters
-            .schedule_hits
-            .fetch_add(cache.hits - hits_seen, Ordering::Relaxed);
-        hits_seen = cache.hits;
-        counters
-            .schedule_misses
-            .fetch_add(cache.misses - misses_seen, Ordering::Relaxed);
-        misses_seen = cache.misses;
+        *slot.lock().expect("stats readers never panic") = DecodeServerStats {
+            served: 0, // counted once, by the shell
+            decoded_tokens: stats.decoded_tokens,
+            ticks: stats.ticks,
+            batched_cycles,
+            sequential_cycles,
+            preemptions: stats.preemptions,
+            resumes: stats.resumes,
+            prefix_hits: stats.prefix_hits,
+            peak_resident_sessions: stats.peak_resident_sessions,
+            spec_proposed: stats.spec.proposed,
+            spec_accepted: stats.spec.accepted,
+            draft_cycles: stats.spec.draft_cycles,
+            schedule_cache_hits: cache.hits,
+            schedule_cache_misses: cache.misses,
+        };
 
         for (ticket, reply) in sched.drain_finished() {
-            counters.served.fetch_add(1, Ordering::Relaxed);
-            // A client that dropped its handle just doesn't read it.
-            if let Some(tx) = replies.remove(&ticket) {
-                let _ = tx.send(reply);
-            }
+            intake.reply(ticket, reply);
         }
         for ticket in sched.drain_failed() {
-            replies.remove(&ticket);
+            intake.fail(ticket);
         }
     }
 }
@@ -565,7 +425,7 @@ fn worker_loop<B: ComputeBackend + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{DecodeSession, DecoderConfig};
+    use crate::decode::{DecodeSession, DecoderConfig, SessionConfig};
     use lt_core::{GaussianSampler, NativeBackend};
     use lt_dptc::DptcBackend;
 
@@ -705,11 +565,12 @@ mod tests {
             requests.iter().map(|r| server.submit(r.clone())).collect();
         let spec: Vec<DecodeReply> = pending.into_iter().map(PendingDecode::wait).collect();
         assert_eq!(plain, spec, "speculation never changes a reply");
-        assert!(server.spec_proposed() > 0, "speculation must have run");
-        assert!(server.spec_accepted() <= server.spec_proposed());
-        assert!(server.draft_cycles() > 0, "draft overhead is itemized");
+        let stats = server.stats();
+        assert!(stats.spec_proposed > 0, "speculation must have run");
+        assert!(stats.spec_accepted <= stats.spec_proposed);
+        assert!(stats.draft_cycles > 0, "draft overhead is itemized");
         assert_eq!(
-            server.decoded_tokens(),
+            stats.decoded_tokens,
             plain.iter().map(|r| r.steps.len() as u64).sum()
         );
         server.shutdown();
@@ -825,9 +686,10 @@ mod tests {
         let pending: Vec<PendingDecode> =
             requests.iter().map(|r| server.submit(r.clone())).collect();
         let tight: Vec<DecodeReply> = pending.into_iter().map(PendingDecode::wait).collect();
-        assert!(server.preemptions() > 0, "the small pool must evict");
-        assert_eq!(server.preemptions(), server.resumes());
-        assert!(server.peak_resident_sessions() >= 2, "still batching");
+        let stats = server.stats();
+        assert!(stats.preemptions > 0, "the small pool must evict");
+        assert_eq!(stats.preemptions, stats.resumes);
+        assert!(stats.peak_resident_sessions >= 2, "still batching");
         server.shutdown();
         assert_eq!(
             roomy, tight,
@@ -865,10 +727,113 @@ mod tests {
         for s in shorts {
             assert_eq!(s.wait().tokens.len(), 3);
         }
-        assert_eq!(server.served(), 7);
-        assert!(server.ticks() > 0);
-        assert!(server.decoded_tokens() >= server.ticks(), "width >= 1");
-        assert!(server.batched_cycles() <= server.sequential_cycles());
+        let stats = server.stats();
+        assert_eq!(stats.served, 7);
+        assert!(stats.ticks > 0);
+        assert!(stats.decoded_tokens >= stats.ticks, "width >= 1");
+        assert!(stats.batched_cycles <= stats.sequential_cycles);
         server.shutdown();
+    }
+
+    /// Serves `requests` on one worker that starts only once all of
+    /// them are queued, so its first intake takes the whole mix and
+    /// every counter is a pure function of the mix (an ungated worker
+    /// may wake between two submits and admit a partial batch).
+    fn gated_one_worker_stats(
+        config: &DecodeServeConfig,
+        requests: &[DecodeRequest],
+    ) -> DecodeServerStats {
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let mut gate = Some(gate);
+        let slot: Arc<Mutex<DecodeServerStats>> = Arc::default();
+        let shell = WorkerShell::spawn("lt-decode-gated", 1, config.max_active, |_| {
+            let gate = gate.take().expect("one worker");
+            let slot = Arc::clone(&slot);
+            let config = config.clone();
+            move |intake: &mut Intake<DecodeRequest, DecodeReply>| {
+                let _ = gate.recv();
+                worker_loop(&model(), &NativeBackend, &config, intake, &slot)
+            }
+        });
+        let server = DecodeServer {
+            shell,
+            slots: vec![slot],
+        };
+        let pending: Vec<PendingDecode> =
+            requests.iter().map(|r| server.submit(r.clone())).collect();
+        drop(open);
+        for p in pending {
+            p.wait();
+        }
+        let stats = server.stats();
+        assert_eq!(server.shutdown(), requests.len() as u64);
+        stats
+    }
+
+    #[test]
+    fn stats_snapshot_is_pinned_on_a_pressured_pool_and_a_speculative_run() {
+        // Pinned against the values the per-counter getters reported
+        // before `stats()` replaced them, on the same mixes, so the
+        // snapshot's derivation from the scheduler and the simulator
+        // adds or drops nothing.
+        let pressured: Vec<DecodeRequest> = (0..8)
+            .map(|i| DecodeRequest {
+                prompt: vec![7, 9, i % 3, i % 3 + 3],
+                max_new_tokens: 12,
+            })
+            .collect();
+        let config = DecodeServeConfig {
+            workers: 1,
+            kv: KvServeConfig {
+                block_tokens: 2,
+                pool_blocks: 25,
+                prefix_sharing: true,
+                ..KvServeConfig::default()
+            },
+            ..DecodeServeConfig::default()
+        };
+        assert_eq!(
+            gated_one_worker_stats(&config, &pressured),
+            DecodeServerStats {
+                served: 8,
+                decoded_tokens: 88,
+                ticks: 22,
+                batched_cycles: 778,
+                sequential_cycles: 2864,
+                preemptions: 8,
+                resumes: 8,
+                prefix_hits: 5,
+                peak_resident_sessions: 8,
+                spec_proposed: 0,
+                spec_accepted: 0,
+                draft_cycles: 0,
+                schedule_cache_hits: 762,
+                schedule_cache_misses: 86,
+            }
+        );
+        let config = DecodeServeConfig {
+            workers: 1,
+            spec: SpecConfig::with_k(4),
+            ..DecodeServeConfig::default()
+        };
+        assert_eq!(
+            gated_one_worker_stats(&config, &mixed_requests(8)),
+            DecodeServerStats {
+                served: 8,
+                decoded_tokens: 21,
+                ticks: 4,
+                batched_cycles: 377,
+                sequential_cycles: 973,
+                preemptions: 0,
+                resumes: 0,
+                prefix_hits: 0,
+                peak_resident_sessions: 8,
+                spec_proposed: 20,
+                spec_accepted: 4,
+                draft_cycles: 429,
+                schedule_cache_hits: 303,
+                schedule_cache_misses: 149,
+            }
+        );
     }
 }

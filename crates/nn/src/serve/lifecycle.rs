@@ -6,9 +6,13 @@
 //! The wall clock of a host running the simulator is noise; the
 //! latency that the paper's accelerator model predicts is signal. So
 //! the frontend drives one [`KvScheduler`] tick at a time, merges each
-//! tick's recorded traces ([`Trace::batch_rows`]) exactly like the
-//! threaded [`crate::serve::decode::DecodeServer`] does, replays the
-//! merged trace, and advances a [`CycleClock`] by the replayed latency.
+//! tick's recorded prefill *and* step traces ([`Trace::batch_rows`])
+//! into one trace, replays it, and advances a [`CycleClock`] by the
+//! replayed latency. The threaded
+//! [`crate::serve::decode::DecodeServer`] costs a tick by a different
+//! rule: it merges the step traces only, so prefill work is absent from
+//! its `batched_cycles`. Giving both one rule is the ROADMAP.md open
+//! item "One tick-cost rule".
 //! Every timestamp below — TTFT, inter-token gaps, completion — is an
 //! integer count of simulated **picoseconds** (the clock's native
 //! resolution; a tiny model's whole run can fit inside one
@@ -39,7 +43,7 @@
 //! running session — `tests/serving_slo.rs` pins that bound, and pins
 //! the replies bit-identical to the unchunked path.
 
-use crate::decode::{DecoderConfig, DecoderLm, SessionConfig};
+use crate::decode::{DecoderConfig, DecoderLm};
 use crate::serve::decode::{DecodeRequest, DecodeServeConfig};
 use crate::serve::sched::KvScheduler;
 use lt_arch::{CycleClock, Simulator};
@@ -250,24 +254,8 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
         backend: B,
         config: &DecodeServeConfig,
     ) -> Self {
-        let session_config = SessionConfig {
-            seed: config.seed,
-            quant: config.quant,
-            kv_bits: config.arch.precision_bits,
-        };
-        let sched = config.spec.apply(
-            KvScheduler::new(
-                model,
-                sim,
-                backend,
-                session_config,
-                config.kv,
-                config.max_active,
-            )
-            .with_prefill_chunk(config.prefill_chunk_tokens),
-        );
         SloFrontend {
-            sched,
+            sched: KvScheduler::from_config(model, sim, backend, config),
             sim,
             model_config: model.config(),
             clock: CycleClock::new(),
@@ -336,11 +324,9 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
                     self.clock.advance_to_us(order[next_arrival].arrival_us);
                     continue;
                 }
-                if queued == 0 && !self.sched.has_work() {
-                    break;
-                }
-                // No progress possible (a stuck backlog can only mean a
-                // scheduler invariant broke): stop rather than spin.
+                // Done — or no progress is possible (a stuck backlog can
+                // only mean a scheduler invariant broke): stop rather
+                // than spin.
                 break;
             }
             self.settle();

@@ -31,7 +31,7 @@ use crate::decode::{
     DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig, SpecSessionStats,
 };
 use crate::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
-use crate::serve::decode::DecodeRequest;
+use crate::serve::decode::{DecodeRequest, DecodeServeConfig};
 use lt_arch::{ArchConfig, Simulator};
 use lt_core::{ComputeBackend, Trace};
 use std::collections::VecDeque;
@@ -271,6 +271,37 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
             finished: Vec::new(),
             failed: Vec::new(),
             stats: KvSchedStats::default(),
+        }
+    }
+
+    /// The scheduler `config` describes (KV stored at the architecture's
+    /// precision), as both serving frontends build it.
+    pub(crate) fn from_config(
+        model: &'m DecoderLm,
+        sim: &'m Simulator,
+        backend: B,
+        config: &DecodeServeConfig,
+    ) -> Self {
+        let session_config = SessionConfig {
+            seed: config.seed,
+            quant: config.quant,
+            kv_bits: config.arch.precision_bits,
+        };
+        let sched = KvScheduler::new(
+            model,
+            sim,
+            backend,
+            session_config,
+            config.kv,
+            config.max_active,
+        )
+        .with_prefill_chunk(config.prefill_chunk_tokens);
+        if !config.spec.is_enabled() {
+            return sched;
+        }
+        match &config.spec.draft {
+            Some(draft) => sched.with_speculation_draft(config.spec.k, draft.clone()),
+            None => sched.with_speculation(config.spec.k),
         }
     }
 

@@ -89,12 +89,13 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         tokens as f64 / elapsed.as_secs_f64()
     );
+    let stats = server.stats();
     println!(
         "continuous batching: {} decode ticks, realized batch width {:.2}",
-        server.ticks(),
-        server.decoded_tokens() as f64 / server.ticks().max(1) as f64
+        stats.ticks,
+        stats.decoded_tokens as f64 / stats.ticks.max(1) as f64
     );
-    let (hits, misses) = server.schedule_cache_hits_misses();
+    let (hits, misses) = (stats.schedule_cache_hits, stats.schedule_cache_misses);
     println!(
         "schedule cache: {hits} hits / {misses} misses ({:.1}% hit rate) — \
          per-token replay reuses memoized tile plans",
@@ -104,9 +105,9 @@ fn main() {
     // The Section VI-B claim, measured on this very stream: the merged
     // per-tick traces replay to fewer photonic cycles than the same
     // tokens served one request at a time.
-    let batched = server.batched_cycles();
-    let sequential = server.sequential_cycles();
-    let decoded = server.decoded_tokens();
+    let batched = stats.batched_cycles;
+    let sequential = stats.sequential_cycles;
+    let decoded = stats.decoded_tokens;
     let tokens_per_s = |cycles: u64| decoded as f64 * clock_ghz * 1e9 / cycles.max(1) as f64;
     println!(
         "replayed decode cost (LT-B 8-bit): batched {batched} cycles vs {sequential} one-at-a-time \
