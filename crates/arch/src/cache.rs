@@ -28,6 +28,7 @@ use crate::schedule::{DataflowPolicy, GemmMap, Segment};
 use crate::sim::RunReport;
 use crate::EnergyBreakdown;
 use lt_core::trace::Op;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,12 +67,14 @@ struct CacheState {
 /// of the owning [`crate::Simulator`] (worker threads serving the same
 /// config pool one cache).
 ///
-/// Hit/miss counters are totals since construction. On a
-/// single-threaded replay they are exactly reproducible (the coalesced
-/// trace order is deterministic), which is what lets the benchmark
-/// snapshot gate them; concurrent replays may split a first encounter
-/// into several misses (each racing thread computes the entry once) —
-/// the *results* stay bit-identical, only the hit/miss split moves.
+/// Hit/miss counters are totals since construction, and exactly
+/// reproducible however many threads replay at once: a miss is counted
+/// only for the lookup whose schedule is stored first. When racing
+/// threads miss the same first-seen key, each computes the (identical)
+/// entry, and every racer but the one that stored it is recounted as a
+/// hit — so misses equal the distinct keys stored and hits equal the
+/// remaining lookups, as on a single-threaded replay. That is what lets
+/// the benchmark snapshot and the serving counters gate them.
 pub(crate) struct ScheduleCache {
     state: RwLock<CacheState>,
     hits: AtomicU64,
@@ -141,19 +144,49 @@ impl ScheduleCache {
 
     /// Stores a freshly computed schedule. No-op when disabled or when
     /// the fingerprint no longer matches (a racing config rebind).
+    /// Returns whether a racing thread had already stored `key`; its
+    /// entry is kept (the two are identical).
     pub(crate) fn insert(
         &self,
         fingerprint: u64,
         key: (Op, DataflowPolicy),
         entry: CachedOpSchedule,
-    ) {
+    ) -> bool {
         if !self.enabled {
-            return;
+            return false;
         }
         let mut state = self.state.write().expect("schedule cache poisoned");
-        if state.fingerprint == fingerprint {
-            state.entries.insert(key, entry);
+        if state.fingerprint != fingerprint {
+            return false;
         }
+        match state.entries.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+                false
+            }
+            Entry::Occupied(_) => true,
+        }
+    }
+
+    /// The memoized schedule for `key`, computing it with `build` (and
+    /// storing it) on a miss. A miss that loses the race to store a
+    /// first-seen key is recounted as a hit, which keeps the counters
+    /// independent of thread interleaving (see [`ScheduleCache`]).
+    pub(crate) fn get_or_build(
+        &self,
+        fingerprint: u64,
+        key: (Op, DataflowPolicy),
+        build: impl FnOnce() -> CachedOpSchedule,
+    ) -> CachedOpSchedule {
+        if let Some(entry) = self.lookup(fingerprint, key) {
+            return entry;
+        }
+        let entry = build();
+        if self.insert(fingerprint, key, entry.clone()) {
+            self.misses.fetch_sub(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        entry
     }
 
     /// `(hits, misses)` since construction.
@@ -251,6 +284,21 @@ mod tests {
         ));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_miss_that_loses_the_store_race_counts_as_a_hit() {
+        let raced = ScheduleCache::new(7);
+        let mut late = None;
+        let first = raced.get_or_build(7, key(1), || {
+            // A racer stores the key while this thread builds it.
+            late = Some(raced.get_or_build(7, key(1), || CachedOpSchedule::Free));
+            CachedOpSchedule::Free
+        });
+        assert!(matches!(first, CachedOpSchedule::Free));
+        assert!(late.is_some());
+        assert_eq!(raced.stats(), (1, 1), "one miss per stored key");
+        assert_eq!(raced.len(), 1);
     }
 
     #[test]

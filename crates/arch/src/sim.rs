@@ -191,13 +191,10 @@ impl Simulator {
         policy: DataflowPolicy,
         op: &Op,
     ) -> crate::cache::CachedOpSchedule {
-        let key = (*op, policy);
-        if let Some(entry) = self.cache.lookup(self.fingerprint, key) {
-            return entry;
-        }
-        let entry = schedule::build_op_schedule(self, policy, op);
-        self.cache.insert(self.fingerprint, key, entry.clone());
-        entry
+        self.cache
+            .get_or_build(self.fingerprint, (*op, policy), || {
+                schedule::build_op_schedule(self, policy, op)
+            })
     }
 
     /// The configuration being simulated.

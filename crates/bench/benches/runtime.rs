@@ -55,7 +55,7 @@ fn rand_pair(m: usize, k: usize, n: usize, seed: u64) -> (Matrix64, Matrix64) {
 
 fn gemm_sweep<B>(label: &str, backend: B, m: usize, k: usize, n: usize)
 where
-    B: ComputeBackend + Clone + Send + Sync + 'static,
+    B: ComputeBackend + Clone + 'static,
 {
     let (a, b) = rand_pair(m, k, n, 1);
     let seq = bench_for(&format!("{label} {m}x{k}x{n} sequential"), WINDOW, || {

@@ -168,6 +168,10 @@ impl Default for RunCtx {
 /// path — and backends compose: `lt-runtime`'s `ParallelBackend`
 /// implements this same trait over any inner backend.
 ///
+/// Backends are `Send + Sync`: a serving scheduler steps several
+/// sessions at once, each on its own thread with its own clone of the
+/// backend, up to [`ComputeBackend::parallelism`] of them.
+///
 /// ```
 /// use lt_core::{ComputeBackend, Matrix64, NativeBackend, RunCtx};
 ///
@@ -181,7 +185,7 @@ impl Default for RunCtx {
 /// let out = run(&NativeBackend, 42);
 /// assert_eq!(out.shape(), (6, 5));
 /// ```
-pub trait ComputeBackend: fmt::Debug {
+pub trait ComputeBackend: fmt::Debug + Send + Sync {
     /// A short human-readable backend name (for reports and logs).
     fn name(&self) -> &str;
 
@@ -311,6 +315,15 @@ pub trait ComputeBackend: fmt::Debug {
             "gemm_accumulate output shape mismatch"
         );
         out.add_assign(&partial);
+    }
+
+    /// How many independent callers this backend can serve at once —
+    /// the width a serving scheduler steps its resident sessions at.
+    /// `1` (the default) means one caller at a time; a backend that
+    /// owns a thread pool reports the pool's size. Results never depend
+    /// on it: every caller carries its own noise stream.
+    fn parallelism(&self) -> usize {
+        1
     }
 }
 

@@ -417,6 +417,14 @@ struct TableState {
     shared_tokens: usize,
     /// Swap-out storage (block payloads, in block order) when preempted.
     swapped: Option<Vec<(Vec<f32>, Vec<f32>)>>,
+    /// Between [`PagedKvCache::reserve`] and
+    /// [`PagedKvCache::release_spare`]: the table owns every block its
+    /// pass will write, and a rollback keeps its tail blocks.
+    reserved: bool,
+    /// Elements a reserved copy-on-write duplicated, reported by the
+    /// append that first writes the copied block (where the copy would
+    /// have happened unreserved).
+    pending_cow_elems: u64,
 }
 
 /// One layer's view of a [`PagedKvCache`] (the [`KvLayer`] the decoder
@@ -446,6 +454,7 @@ impl KvLayer for PagedKvLayer {
             if bi == t.blocks.len() {
                 // First layer to reach a fresh block allocates it for
                 // the whole stack (one indirection per position).
+                debug_assert!(!t.reserved, "append past its reserved blocks");
                 let id = self.pool.alloc().expect(
                     "KV block pool exhausted mid-pass — the scheduler must reserve \
                      capacity before stepping",
@@ -456,6 +465,7 @@ impl KvLayer for PagedKvLayer {
                 // Writing into a block another table can see would leak
                 // our rows into their context: copy it first.
                 if self.pool.refcount(t.blocks[bi]) > 1 {
+                    debug_assert!(!t.reserved, "reserved block still shared");
                     let (new, copied) = self
                         .pool
                         .cow(t.blocks[bi])
@@ -463,6 +473,7 @@ impl KvLayer for PagedKvLayer {
                     t.blocks[bi] = new;
                     write.cow_elems += copied;
                 }
+                write.cow_elems += std::mem::take(&mut t.pending_cow_elems);
                 self.pool
                     .write_row(t.blocks[bi], self.layer, pos % bt, k.row(r), v.row(r));
                 write.rows_written += 1;
@@ -531,6 +542,8 @@ impl PagedKvCache {
             layer_fill: vec![0; layers],
             shared_tokens: 0,
             swapped: None,
+            reserved: false,
+            pending_cow_elems: 0,
         }));
         let layer_views = (0..layers)
             .map(|layer| PagedKvLayer {
@@ -618,6 +631,67 @@ impl PagedKvCache {
         needed
     }
 
+    /// Takes from the pool, ahead of a pass, every block an append of
+    /// `extra` tokens will write — a copy-on-write of the shared block
+    /// the first write lands in, then fresh blocks past the table's end:
+    /// the blocks, in the order, the append would otherwise take lazily
+    /// (at most [`PagedKvCache::blocks_needed`]). Until
+    /// [`PagedKvCache::release_spare`] the cache leaves the pool's free
+    /// list and refcounts alone: appends write only blocks it owns
+    /// alone, and a rollback ([`PagedKvCache::truncate`]) keeps its tail
+    /// blocks for the next append. That is what lets a scheduler step
+    /// sessions concurrently with the block ids and [`PoolStats`] of a
+    /// one-at-a-time run. The copy's traffic is still reported by the
+    /// append that first writes the copied block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is swapped out or the pool runs dry (the
+    /// caller must have checked [`PagedKvCache::blocks_needed`]).
+    pub fn reserve(&mut self, extra: usize) {
+        let bt = self.pool.block_tokens();
+        let mut t = self.table.lock().expect("table poisoned");
+        assert!(t.swapped.is_none(), "reserve on a swapped-out KV cache");
+        let len = t.len_max();
+        let first_write = len.max(t.shared_tokens);
+        if first_write < len + extra {
+            let bi = first_write / bt;
+            if let Some(&block) = t.blocks.get(bi) {
+                if self.pool.refcount(block) > 1 {
+                    let (new, copied) = self
+                        .pool
+                        .cow(block)
+                        .expect("KV block pool exhausted during a reserved copy-on-write");
+                    t.blocks[bi] = new;
+                    t.pending_cow_elems += copied;
+                }
+            }
+        }
+        while t.blocks.len() < (len + extra).div_ceil(bt) {
+            let id = self
+                .pool
+                .alloc()
+                .expect("KV block pool exhausted during reserve");
+            t.blocks.push(id);
+        }
+        t.reserved = true;
+    }
+
+    /// Ends a [`PagedKvCache::reserve`]: returns the blocks past the
+    /// context that the pass left empty (a speculative rollback's tail)
+    /// to the pool, and how many.
+    pub fn release_spare(&mut self) -> usize {
+        let bt = self.pool.block_tokens();
+        let mut t = self.table.lock().expect("table poisoned");
+        t.reserved = false;
+        let keep = t.len_max().div_ceil(bt).min(t.blocks.len());
+        let spare = t.blocks.len() - keep;
+        for id in t.blocks.drain(keep..) {
+            self.pool.release(id);
+        }
+        spare
+    }
+
     /// References to the blocks covering the first `tokens` positions,
     /// stamped with their current generations — what a
     /// [`PrefixIndex::register`] entry stores.
@@ -678,8 +752,9 @@ impl PagedKvCache {
     /// clamps the shared-prefix watermark. A tail block another table
     /// still shares only loses this table's reference — truncation
     /// writes nothing, so it is copy-on-write-safe by construction.
-    /// Returns the blocks released. No-op when already at most `len`
-    /// tokens long.
+    /// Under a [`PagedKvCache::reserve`] every block stays in the table
+    /// until [`PagedKvCache::release_spare`]. Returns the blocks
+    /// released. No-op when already at most `len` tokens long.
     ///
     /// # Panics
     ///
@@ -691,7 +766,11 @@ impl PagedKvCache {
         if len >= t.len_max() {
             return 0;
         }
-        let keep = len.div_ceil(bt).min(t.blocks.len());
+        let keep = if t.reserved {
+            t.blocks.len()
+        } else {
+            len.div_ceil(bt).min(t.blocks.len())
+        };
         let released = t.blocks.len() - keep;
         for id in t.blocks.drain(keep..) {
             self.pool.release(id);
@@ -1008,6 +1087,73 @@ mod tests {
         write_tokens(&mut cache, 0, 2, 7.0);
         assert_eq!(cache.layer_mut(0).context_len(), 6);
         assert_eq!(cache.truncate(6), 0, "no-op at or past the current length");
+    }
+
+    /// Owner `a` (6 tokens) and borrower `b` of its prompt: both next
+    /// writes land in the shared partial block.
+    fn lender_and_borrower(pool: &BlockPool) -> (PagedKvCache, PagedKvCache) {
+        let mut index = PrefixIndex::new();
+        let prompt = vec![1usize, 2, 3, 4, 5, 6];
+        let mut a = PagedKvCache::new(pool, 1, 2);
+        write_tokens(&mut a, 0, 6, 0.0);
+        index.register(&prompt, a.block_refs(6));
+        let shared = index.lookup(pool, &prompt).expect("live entry");
+        let mut b = PagedKvCache::with_shared_prefix(pool, 1, 2, shared);
+        write_tokens(&mut b, 0, 6, 9.0);
+        (a, b)
+    }
+
+    #[test]
+    fn reserved_appends_take_the_lazy_path_blocks_in_the_same_order() {
+        // Lazily, `a` copies the shared block and `b` (then the sole
+        // holder of the original) writes it in place: one copy.
+        let lazy_pool = BlockPool::new(8, 1, 2, 4);
+        let (mut a, mut b) = lender_and_borrower(&lazy_pool);
+        let lazy = [
+            write_tokens(&mut a, 0, 3, 1.0),
+            write_tokens(&mut b, 0, 3, 2.0),
+        ];
+        // Reserved in the same order, then appended in the reverse one:
+        // the same blocks, counters and reported traffic.
+        let pool = BlockPool::new(8, 1, 2, 4);
+        let (mut ra, mut rb) = lender_and_borrower(&pool);
+        ra.reserve(3);
+        rb.reserve(3);
+        let after_reserve = pool.stats();
+        let wb = write_tokens(&mut rb, 0, 3, 2.0);
+        let wa = write_tokens(&mut ra, 0, 3, 1.0);
+        assert_eq!(pool.stats(), after_reserve, "appends left the pool alone");
+        assert_eq!([wa, wb], lazy, "copy traffic reported where it was");
+        assert_eq!(ra.release_spare() + rb.release_spare(), 0);
+        assert_eq!(pool.stats(), lazy_pool.stats());
+        assert_eq!(pool.stats().cow_copies, 1, "one copy, not two");
+        let tables = |x: &PagedKvCache| x.table.lock().unwrap().blocks.clone();
+        assert_eq!(tables(&ra), tables(&a));
+        assert_eq!(tables(&rb), tables(&b));
+        for (x, y) in [(&mut ra, &mut a), (&mut rb, &mut b)] {
+            assert_eq!(x.layer_mut(0).context_keys(), y.layer_mut(0).context_keys());
+        }
+    }
+
+    #[test]
+    fn a_reserved_rollback_keeps_its_tail_until_release_spare() {
+        let pool = BlockPool::new(8, 1, 2, 4);
+        let mut cache = PagedKvCache::new(&pool, 1, 2);
+        write_tokens(&mut cache, 0, 3, 0.0);
+        // A verify pass of 6 rows, rolled back, then 2 committed rows.
+        cache.reserve(6);
+        assert_eq!(cache.resident_blocks(), 3, "ceil(9/4) blocks taken");
+        let allocs = pool.stats().allocs;
+        write_tokens(&mut cache, 0, 6, 1.0);
+        assert_eq!(cache.truncate(3), 0, "held blocks stay in the table");
+        write_tokens(&mut cache, 0, 2, 2.0);
+        assert_eq!(pool.stats().allocs, allocs, "no allocation mid-pass");
+        assert_eq!(cache.release_spare(), 1, "ceil(5/4) = 2 blocks kept");
+        assert_eq!(cache.resident_blocks(), 2);
+        assert_eq!(pool.used_blocks(), 2);
+        // Unreserved, truncate frees tail blocks again.
+        write_tokens(&mut cache, 0, 4, 3.0);
+        assert_eq!(cache.truncate(4), 2);
     }
 
     #[test]

@@ -89,11 +89,16 @@ pub struct ServeConfig {
     /// Accelerator model that costs every request's recorded trace
     /// (default: LT-B at 8 bits, the paper's high-accuracy point).
     pub arch: ArchConfig,
-    /// Intra-GEMM parallelism: `threads > 1` fans every routed GEMM
-    /// out as row-block jobs on one pool shared by all workers
-    /// ([`lt_runtime::ParallelBackend`]); replies are bit-identical at
-    /// every thread count. Default is sequential; read `LT_THREADS`
-    /// with [`ThreadsConfig::from_env`].
+    /// Host parallelism: `threads > 1` wraps the backend in a
+    /// [`lt_runtime::ParallelBackend`] over one pool of that many
+    /// threads shared by all workers, and every routed GEMM big enough
+    /// to split fans out as row-block jobs on it. (Decode serving uses
+    /// the same knob to also step a tick's resident sessions
+    /// concurrently — see [`crate::serve::decode::DecodeServeConfig`];
+    /// a classification request is one forward pass, with no sessions
+    /// to step.) Replies are bit-identical at every thread count.
+    /// Default is sequential; read `LT_THREADS` with
+    /// [`ThreadsConfig::from_env`].
     pub threads: ThreadsConfig,
 }
 
@@ -337,7 +342,7 @@ impl Server {
     /// in a [`ParallelBackend`] over one pool shared by every worker,
     /// so each GEMM inside a forward pass fans out as row-block jobs —
     /// with bit-identical replies, per the seed-partition contract.
-    pub fn new<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    pub fn new<B: ComputeBackend + Clone + 'static>(
         vision: VisionTransformer,
         text: TextClassifier,
         backend: B,
@@ -356,7 +361,7 @@ impl Server {
     }
 
     /// The monomorphic worker bring-up both construction paths share.
-    fn spawn<B: ComputeBackend + Clone + Send + 'static>(
+    fn spawn<B: ComputeBackend + Clone + 'static>(
         vision: VisionTransformer,
         text: TextClassifier,
         backend: B,
@@ -495,7 +500,7 @@ mod tests {
             .collect()
     }
 
-    fn serve_all<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    fn serve_all<B: ComputeBackend + Clone + 'static>(
         backend: B,
         cfg: ServeConfig,
         requests: &[Request],

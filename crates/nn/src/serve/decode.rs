@@ -107,11 +107,14 @@ pub struct DecodeServeConfig {
     /// to derive it from `arch.kv_pool_bytes`), prefix sharing, and the
     /// preemption policy. Validated at [`DecodeServer::new`].
     pub kv: KvServeConfig,
-    /// Intra-GEMM parallelism: `threads > 1` fans every routed GEMM
-    /// out as row-block jobs on one pool shared by all workers
-    /// ([`lt_runtime::ParallelBackend`]); replies are bit-identical at
-    /// every thread count. Default is sequential; read `LT_THREADS`
-    /// with [`ThreadsConfig::from_env`].
+    /// Host parallelism: `threads > 1` wraps the backend in a
+    /// [`lt_runtime::ParallelBackend`] over one pool of that many
+    /// threads shared by all workers. Each worker's scheduler tick then
+    /// steps its resident sessions concurrently, up to `threads` at
+    /// once (see [`KvScheduler::tick`]), and a GEMM big enough to split
+    /// fans out as row-block jobs on the pool. Replies are
+    /// bit-identical at every thread count. Default is sequential; read
+    /// `LT_THREADS` with [`ThreadsConfig::from_env`].
     pub threads: ThreadsConfig,
     /// Chunked-prefill size in prompt tokens: `0` (default) prefills a
     /// whole prompt at admission; a positive chunk interleaves prefill
@@ -279,9 +282,10 @@ impl DecodeServer {
     ///
     /// With [`DecodeServeConfig::threads`] parallel, the backend is
     /// wrapped in a [`ParallelBackend`] over one pool shared by every
-    /// worker, so each step's GEMMs fan out as row-block jobs — with
-    /// bit-identical replies, per the seed-partition contract.
-    pub fn new<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    /// worker, so each tick steps its resident sessions concurrently
+    /// and large GEMMs fan out as row-block jobs — with bit-identical
+    /// replies, per the seed-partition contract.
+    pub fn new<B: ComputeBackend + Clone + 'static>(
         model: DecoderLm,
         backend: B,
         config: DecodeServeConfig,
@@ -294,7 +298,7 @@ impl DecodeServer {
     }
 
     /// The monomorphic worker bring-up both construction paths share.
-    fn spawn<B: ComputeBackend + Clone + Send + 'static>(
+    fn spawn<B: ComputeBackend + Clone + 'static>(
         model: DecoderLm,
         backend: B,
         config: DecodeServeConfig,
@@ -443,7 +447,7 @@ mod tests {
             .collect()
     }
 
-    fn serve_all<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    fn serve_all<B: ComputeBackend + Clone + 'static>(
         backend: B,
         cfg: DecodeServeConfig,
         requests: &[DecodeRequest],

@@ -17,8 +17,17 @@
 //!    session's worst-case next-token allocation; while it cannot, the
 //!    *highest-ticket* (most recently admitted) session is preempted
 //!    under the configured [`PreemptPolicy`].
-//! 4. **Step + retire** — every resident session decodes one token
-//!    (recording its trace) and finished sessions retire.
+//! 4. **Step + retire** — every resident session advances by one
+//!    prefill chunk, decode step or speculative step (recording its
+//!    trace), and finished sessions retire. The sessions step
+//!    *concurrently*, on [`ComputeBackend::parallelism`] threads (the
+//!    calling thread plus scoped helpers, the biggest work first), and
+//!    the outcome is folded in ticket order. Each session owns its noise
+//!    streams and trace recorders, and every KV block it will write is
+//!    taken in ticket order before the fan-out
+//!    ([`PagedKvCache::reserve`]), so replies, counters, schedule-cache
+//!    counts and block ids are the same at every width; a session that
+//!    panics re-raises its own panic from `tick`.
 //!
 //! Because paused tickets are always lower than backlog tickets (the
 //! queue is monotonic) resume-before-admit is strict ticket priority,
@@ -29,12 +38,16 @@
 
 use crate::decode::{
     DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig, SpecSessionStats,
+    SpecStepReport,
 };
 use crate::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 use crate::serve::decode::{DecodeRequest, DecodeServeConfig};
 use lt_arch::{ArchConfig, Simulator};
 use lt_core::{ComputeBackend, Trace};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Paged-KV serving knobs (the `kv` section of
 /// [`crate::serve::decode::DecodeServeConfig`]).
@@ -161,7 +174,7 @@ pub struct KvSchedStats {
 /// cycles, and which tickets crossed a lifecycle boundary — everything
 /// a serving frontend needs to stamp per-request TTFT and inter-token
 /// latency on a simulated clock.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct TickOutcome {
     /// One recorded decode-step trace per stepped session, ticket order
     /// (aligned with [`TickOutcome::stepped`]).
@@ -195,6 +208,116 @@ pub struct TickOutcome {
 
 struct Entry<B: ComputeBackend + Clone> {
     session: DecodeSession<B>,
+}
+
+/// What one resident session did in a tick's step phase.
+enum Advance {
+    /// One chunk of a chunked prefill; `first_token` when it was the
+    /// last chunk (the first token was sampled).
+    Prefill { trace: Trace, first_token: bool },
+    /// One plain decode step and its replayed cycles.
+    Step { trace: Trace, cycles: u64 },
+    /// One speculative step.
+    Spec(Box<SpecStepReport>),
+}
+
+impl<B: ComputeBackend + Clone> Entry<B> {
+    fn kv_mut(&mut self) -> &mut PagedKvCache {
+        self.session
+            .paged_kv_mut()
+            .expect("scheduler sessions are paged")
+    }
+
+    /// The session's work for one tick: a still-prefilling session
+    /// feeds one bounded chunk (so running sessions never wait out a
+    /// whole prompt); a running one takes a speculative step when
+    /// `spec` is on, else a plain step. Touches only this session's
+    /// engine, noise streams and reserved KV blocks, so sessions can
+    /// advance concurrently.
+    fn advance(
+        &mut self,
+        model: &DecoderLm,
+        sim: &Simulator,
+        chunk: usize,
+        spec: Option<&(usize, DraftLm)>,
+    ) -> Advance {
+        if !self.session.prefill_done() {
+            let trace = self.session.prefill_partial(model, sim, chunk);
+            return Advance::Prefill {
+                trace,
+                first_token: self.session.prefill_done(),
+            };
+        }
+        match spec {
+            // The verify trace is the target's executed work; the draft
+            // trace is costed separately (overhead, never folded into
+            // the target's cycles). The reserve phase booked the verify
+            // pass's k_eff + 1 transient rows.
+            Some((k, draft)) => {
+                Advance::Spec(Box::new(self.session.spec_step(model, draft, sim, *k)))
+            }
+            None => {
+                let trace = self.session.step(model, sim);
+                let cycles = self
+                    .session
+                    .last_step_cost()
+                    .expect("a step records its cost")
+                    .cycles;
+                Advance::Step { trace, cycles }
+            }
+        }
+    }
+}
+
+/// One item of [`map_concurrently`] and, once it ran, its outcome.
+type Slot<'a, T, R> = Mutex<(&'a mut T, Option<std::thread::Result<R>>)>;
+
+/// Runs `f` on every item, on `width` threads — the calling thread and
+/// `width - 1` scoped helpers — that take items in `order` from one
+/// shared cursor, and returns the results in item order. At width 1 it
+/// is the plain loop on the calling thread. A panic stops the hand-out
+/// and is re-raised here with its original payload (the lowest item's,
+/// if several panicked), never as a generic scoped-thread panic.
+fn map_concurrently<T: Send, R: Send>(
+    items: &mut [T],
+    order: &[usize],
+    width: usize,
+    f: impl Fn(&mut T) -> R + Sync,
+) -> Vec<R> {
+    let slots: Vec<Slot<'_, T, R>> = items
+        .iter_mut()
+        .map(|item| Mutex::new((item, None)))
+        .collect();
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let worker = || {
+        while !stop.load(Ordering::Relaxed) {
+            let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let mut slot = slots[i].lock().expect("slots are never poisoned");
+            let out = catch_unwind(AssertUnwindSafe(|| f(&mut *slot.0)));
+            stop.fetch_or(out.is_err(), Ordering::Relaxed);
+            slot.1 = Some(out);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..width {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    let mut results = Vec::with_capacity(slots.len());
+    for slot in slots {
+        match slot.into_inner().expect("slots are never poisoned").1 {
+            Some(Ok(out)) => results.push(out),
+            Some(Err(payload)) => resume_unwind(payload),
+            // Never handed out: an item ahead of it panicked, and that
+            // panic is re-raised by this loop.
+            None => {}
+        }
+    }
+    results
 }
 
 /// What [`KvScheduler::admit_one`] yields: the resident entry plus, in
@@ -398,8 +521,14 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// One scheduling round: resume, admit, reserve (preempting if the
     /// pool cannot cover every resident session's next work), then
     /// advance every resident session — still-prefilling sessions by
-    /// one chunk, running sessions by one decode step — and retire the
-    /// finished. Returns `None` if nothing was admitted or resident.
+    /// one chunk, running sessions by one decode step — concurrently on
+    /// the backend's [`ComputeBackend::parallelism`] threads, and retire
+    /// the finished. Returns `None` if nothing was admitted or resident.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, with its original payload, the panic of a session
+    /// that panicked while stepping (on whichever thread it ran).
     pub fn tick(&mut self) -> Option<TickOutcome> {
         self.resume_paused();
         let (admitted, mut prefill_traces, mut first_tokens) = self.admit();
@@ -410,44 +539,53 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
             self.stats.peak_resident_sessions.max(self.active.len());
         self.reserve_for_step();
 
-        let mut step_traces = Vec::with_capacity(self.active.len());
-        let mut stepped = Vec::with_capacity(self.active.len());
-        let mut emitted = Vec::with_capacity(self.active.len());
+        // Every block this tick will write is taken now, in ticket
+        // order, so the concurrent steps below never touch the pool's
+        // free list or refcounts (see `PagedKvCache::reserve`).
+        let work: Vec<usize> = self.active.iter().map(|e| self.next_tokens(e)).collect();
+        for (entry, &tokens) in self.active.iter_mut().zip(&work) {
+            entry.kv_mut().reserve(tokens);
+        }
+        // Map: each resident session's work for the tick, the biggest
+        // first so the last one to finish is a short one.
+        let mut order: Vec<usize> = (0..work.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(work[i]));
+        let width = self.backend.parallelism().min(self.active.len());
+        let (model, sim, chunk) = (self.model, self.sim, self.prefill_chunk);
+        let spec = self.spec.as_ref();
+        let advances = map_concurrently(&mut self.active, &order, width, |entry| {
+            entry.advance(model, sim, chunk, spec)
+        });
+
+        // Fold, in ticket order.
+        let mut step_traces = Vec::with_capacity(advances.len());
+        let mut stepped = Vec::with_capacity(advances.len());
+        let mut emitted = Vec::with_capacity(advances.len());
         let mut draft_traces = Vec::new();
         let mut sequential_cycles = 0;
-        let spec = self.spec.as_ref();
-        for entry in self.active.iter_mut() {
+        for (entry, advance) in self.active.iter_mut().zip(advances) {
+            entry.kv_mut().release_spare();
             let ticket = entry.session.ticket();
-            if !entry.session.prefill_done() {
-                // Chunked prefill: one bounded piece this tick, so the
-                // decode steps below never wait out a whole prompt.
-                prefill_traces.push(entry.session.prefill_partial(
-                    self.model,
-                    self.sim,
-                    self.prefill_chunk,
-                ));
-                if entry.session.prefill_done() {
-                    first_tokens.push(ticket);
+            match advance {
+                Advance::Prefill { trace, first_token } => {
+                    prefill_traces.push(trace);
+                    if first_token {
+                        first_tokens.push(ticket);
+                    }
                 }
-            } else if let Some((k, draft)) = spec {
-                // Speculative step: the verify trace is the target's
-                // executed work this tick; the draft trace is costed
-                // separately (it is overhead, never folded into the
-                // target's cycles). The reserve phase above already
-                // booked the verify pass's k_eff + 1 transient rows.
-                let report = entry.session.spec_step(self.model, draft, self.sim, *k);
-                self.stats.spec.merge(&report.stats_delta());
-                sequential_cycles += report.verify_cost.cycles + report.draft_cost.cycles;
-                step_traces.push(report.verify_trace);
-                draft_traces.push(report.draft_trace);
-                stepped.push(ticket);
-                emitted.push(report.outcome.emitted());
-            } else {
-                step_traces.push(entry.session.step(self.model, self.sim));
-                stepped.push(ticket);
-                emitted.push(1);
-                if let Some(cost) = entry.session.last_step_cost() {
-                    sequential_cycles += cost.cycles;
+                Advance::Step { trace, cycles } => {
+                    step_traces.push(trace);
+                    stepped.push(ticket);
+                    emitted.push(1);
+                    sequential_cycles += cycles;
+                }
+                Advance::Spec(report) => {
+                    self.stats.spec.merge(&report.stats_delta());
+                    sequential_cycles += report.verify_cost.cycles + report.draft_cost.cycles;
+                    step_traces.push(report.verify_trace);
+                    draft_traces.push(report.draft_trace);
+                    stepped.push(ticket);
+                    emitted.push(report.outcome.emitted());
                 }
             }
         }

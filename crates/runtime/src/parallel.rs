@@ -61,7 +61,7 @@ impl<B> Clone for ParallelBackend<B> {
     }
 }
 
-impl<B: ComputeBackend + Send + Sync + 'static> ParallelBackend<B> {
+impl<B: ComputeBackend + 'static> ParallelBackend<B> {
     /// Wraps `backend` with a dedicated pool of `threads` workers.
     pub fn new(backend: B, threads: usize) -> Self {
         ParallelBackend::with_pool(backend, Arc::new(ThreadPool::new(threads)))
@@ -115,13 +115,17 @@ impl<B: ComputeBackend> fmt::Debug for ParallelBackend<B> {
     }
 }
 
-impl<B: ComputeBackend + Send + Sync + 'static> ComputeBackend for ParallelBackend<B> {
+impl<B: ComputeBackend + 'static> ComputeBackend for ParallelBackend<B> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn preferred_block_rows(&self) -> usize {
         self.backend.preferred_block_rows()
+    }
+
+    fn parallelism(&self) -> usize {
+        self.pool.threads()
     }
 
     fn gemm_block(
@@ -197,7 +201,7 @@ impl<B: ComputeBackend + Send + Sync + 'static> ComputeBackend for ParallelBacke
     }
 }
 
-impl<B: ComputeBackend + Send + Sync + 'static> ParallelBackend<B> {
+impl<B: ComputeBackend + 'static> ParallelBackend<B> {
     /// The row-block fan-out with the call-level seed already drawn —
     /// shared by `gemm` and the one-pair `gemm_batch` fast path.
     fn gemm_with_call_seed(
@@ -325,6 +329,8 @@ mod tests {
         let par = ParallelBackend::new(lt_core::NativeBackend, 3);
         assert_eq!(par.name(), "parallel(native)");
         assert_eq!(par.threads(), 3);
+        assert_eq!(par.parallelism(), 3, "the pool's width is the backend's");
+        assert_eq!(lt_core::NativeBackend.parallelism(), 1);
         assert_eq!(par.backend(), &lt_core::NativeBackend);
         let second = ParallelBackend::with_pool(lt_core::NativeBackend, Arc::clone(par.pool()));
         assert_eq!(second.threads(), 3);

@@ -11,9 +11,14 @@
 //! per generated token for k∈{0,2,4,8} at batch 1 and 8, with the
 //! draft's own cycles itemized separately.
 //!
+//! Both servers run on `LT_THREADS` threads: with two or more, every
+//! scheduler tick steps its sessions concurrently, and the replies must
+//! still match.
+//!
 //! ```sh
 //! cargo run --release --example llm_speculative
 //! LT_SPEC_K=8 cargo run --release --example llm_speculative   # deeper speculation
+//! LT_THREADS=2 LT_SPEC_K=2 cargo run --release --example llm_speculative
 //! ```
 
 use lightening_transformer::core::GaussianSampler;
@@ -23,6 +28,7 @@ use lightening_transformer::nn::serve::decode::{
     DecodeRequest, DecodeServeConfig, DecodeServer, DecodeServerStats, SpecConfig,
 };
 use lightening_transformer::nn::serve::sched::KvServeConfig;
+use lightening_transformer::runtime::ThreadsConfig;
 
 /// Varied prompts and generation lengths over the tiny vocabulary.
 fn make_request(i: usize) -> DecodeRequest {
@@ -34,7 +40,11 @@ fn make_request(i: usize) -> DecodeRequest {
 
 /// Serves the fixed mix once and returns the replies plus the server's
 /// counters.
-fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, DecodeServerStats) {
+fn serve(
+    spec: SpecConfig,
+    threads: ThreadsConfig,
+    total: usize,
+) -> (Vec<DecodeReply>, DecodeServerStats) {
     let mut rng = GaussianSampler::new(42);
     let mut model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
     // The synthetic stand-in for a trained LM's layer-wise refinement:
@@ -54,6 +64,7 @@ fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, DecodeServerStats
                 ..KvServeConfig::default()
             },
             spec,
+            threads,
             ..DecodeServeConfig::default()
         },
     );
@@ -67,16 +78,20 @@ fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, DecodeServerStats
 fn main() {
     let env = SpecConfig::from_env();
     let k = if env.is_enabled() { env.k } else { 4 };
+    let threads = ThreadsConfig::from_env();
     let total = 8;
 
-    println!("== Speculative decoding (LT_SPEC_K={k}, noisy DPTC backend) ==\n");
-    let (base, plain) = serve(SpecConfig::default(), total);
+    println!(
+        "== Speculative decoding (LT_SPEC_K={k}, LT_THREADS={}, noisy DPTC backend) ==\n",
+        threads.threads()
+    );
+    let (base, plain) = serve(SpecConfig::default(), threads, total);
     assert_eq!(
         (plain.spec_proposed, plain.spec_accepted, plain.draft_cycles),
         (0, 0, 0),
         "plain serving must not speculate"
     );
-    let (spec, stats) = serve(SpecConfig::with_k(k), total);
+    let (spec, stats) = serve(SpecConfig::with_k(k), threads, total);
     let (proposed, accepted, draft_cycles) =
         (stats.spec_proposed, stats.spec_accepted, stats.draft_cycles);
 
