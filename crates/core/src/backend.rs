@@ -383,11 +383,15 @@ pub fn blocked_gemm_with_seed<B: ComputeBackend + ?Sized>(
     );
     let (m, k) = a.shape();
     let n = b.cols();
+    let blocks = row_blocks(m, backend.preferred_block_rows());
+    if let [(0, rows)] = blocks[..] {
+        // One block (every decode-step GEMM): its strip is the product.
+        let out = backend.gemm_block(a, b, split_seed(call_seed, 0));
+        assert_eq!(out.shape(), (rows, n), "gemm_block shape mismatch");
+        return out;
+    }
     let mut out = Matrix64::zeros(m, n);
-    for (idx, (r0, nrows)) in row_blocks(m, backend.preferred_block_rows())
-        .into_iter()
-        .enumerate()
-    {
+    for (idx, (r0, nrows)) in blocks.into_iter().enumerate() {
         let strip = backend.gemm_block(
             a.block(r0, 0, nrows, k),
             b,

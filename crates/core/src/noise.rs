@@ -32,6 +32,7 @@ struct ZigTables {
     f: [f64; ZIG_LAYERS + 1],
 }
 
+#[inline]
 fn zig_tables() -> &'static ZigTables {
     static TABLES: OnceLock<ZigTables> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -86,6 +87,7 @@ impl GaussianSampler {
     }
 
     /// Returns the next raw 64-bit output (xoshiro256**).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -100,6 +102,7 @@ impl GaussianSampler {
     }
 
     /// Returns a uniform sample in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         // Use the top 53 bits for a uniform double. The intermediate
         // `i64` cast is value-preserving (the shifted value fits in 53
@@ -133,25 +136,57 @@ impl GaussianSampler {
     }
 
     /// Returns a standard-normal sample (mean 0, variance 1).
+    #[inline]
     pub fn sample(&mut self) -> f64 {
+        // The rectangle test accepts about 99% of draws, so only it is
+        // inlined into callers; the wedge and tail rejection code lives
+        // out of line.
         let t = zig_tables();
-        loop {
-            // One raw draw supplies the layer index (7 bits), the sign
-            // (1 bit), and the in-layer position (53 bits). As in
-            // `uniform`, the signed intermediate cast keeps the
-            // conversion a single instruction; on the common accept
-            // path the sign is applied by flipping the IEEE sign bit —
-            // bit-identical to multiplying the non-negative `x` by
-            // ±1.0 (including the `-0.0` it produces when `u == 0`),
-            // without a multiply on the latency chain.
-            let bits = self.next_u64();
-            let i = (bits & (ZIG_LAYERS as u64 - 1)) as usize;
-            let neg = u64::from(bits & ZIG_LAYERS as u64 == 0) << 63;
-            let u = ((bits >> 11) as i64) as f64 * (1.0 / (1u64 << 53) as f64);
-            let x = u * t.x[i];
-            if x < t.x[i + 1] {
-                return f64::from_bits(x.to_bits() ^ neg); // rectangle: accept
-            }
+        let (i, x, neg) = self.zig_draw(t);
+        if x < t.x[i + 1] {
+            return f64::from_bits(x.to_bits() ^ neg); // rectangle: accept
+        }
+        // The state goes to the slow path by value and comes back as a
+        // new sampler, so the caller's sampler is never borrowed by a
+        // call and its state can stay in registers across a hot loop.
+        let (v, next) = self.clone().sample_slow(t, i, x, neg);
+        *self = next;
+        v
+    }
+
+    /// One ziggurat draw: the layer index `i`, the non-negative in-layer
+    /// position `x` and the sign bit `neg` (`0` or `1 << 63`).
+    ///
+    /// One raw draw supplies the layer index (7 bits), the sign (1 bit),
+    /// and the in-layer position (53 bits). As in `uniform`, the signed
+    /// intermediate cast keeps the conversion a single instruction; on
+    /// the accept path the sign is applied by flipping the IEEE sign bit
+    /// — bit-identical to multiplying the non-negative `x` by ±1.0
+    /// (including the `-0.0` it produces when `u == 0`), without a
+    /// multiply on the latency chain.
+    #[inline(always)]
+    fn zig_draw(&mut self, t: &ZigTables) -> (usize, f64, u64) {
+        let bits = self.next_u64();
+        let i = (bits & (ZIG_LAYERS as u64 - 1)) as usize;
+        let neg = u64::from(bits & ZIG_LAYERS as u64 == 0) << 63;
+        let u = ((bits >> 11) as i64) as f64 * (1.0 / (1u64 << 53) as f64);
+        (i, u * t.x[i], neg)
+    }
+
+    /// The rejection branches for a draw `(i, x, neg)` that missed its
+    /// layer's rectangle: the tail beyond `ZIG_R` (layer 0) or the wedge
+    /// under the density, redrawing on rejection. Returns the sample and
+    /// the advanced sampler.
+    #[cold]
+    #[inline(never)]
+    fn sample_slow(
+        mut self,
+        t: &ZigTables,
+        mut i: usize,
+        mut x: f64,
+        mut neg: u64,
+    ) -> (f64, GaussianSampler) {
+        let v = 'draw: loop {
             let sign = if neg == 0 { 1.0 } else { -1.0 };
             if i == 0 {
                 // Base strip beyond ZIG_R: sample the tail (Marsaglia).
@@ -159,15 +194,20 @@ impl GaussianSampler {
                     let ex = -self.uniform_nonzero().ln() / ZIG_R;
                     let ey = -self.uniform_nonzero().ln();
                     if ey + ey > ex * ex {
-                        return sign * (ZIG_R + ex);
+                        break 'draw sign * (ZIG_R + ex);
                     }
                 }
             }
             // Wedge between x[i+1] and x[i]: accept under the density.
             if t.f[i] + self.uniform() * (t.f[i + 1] - t.f[i]) < (-0.5 * x * x).exp() {
-                return sign * x;
+                break sign * x;
             }
-        }
+            (i, x, neg) = self.zig_draw(t);
+            if x < t.x[i + 1] {
+                break f64::from_bits(x.to_bits() ^ neg);
+            }
+        };
+        (v, self)
     }
 
     /// A uniform sample in `(0, 1)` — never exactly zero, so logarithms
@@ -182,6 +222,7 @@ impl GaussianSampler {
     }
 
     /// Returns a Gaussian sample with the given mean and standard deviation.
+    #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.sample()
     }

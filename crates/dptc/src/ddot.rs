@@ -175,11 +175,7 @@ impl DDot {
         // "at each DDot"). The angle-addition tables then fold the draw
         // into the precomputed multipliers — one `sin_cos` per output,
         // no transcendentals in the MAC loop.
-        let (sg, cg) = if noise.sigma_phase_rad > 0.0 {
-            rng.normal(0.0, noise.sigma_phase_rad).sin_cos()
-        } else {
-            (0.0, 1.0)
-        };
+        let (sg, cg) = phase_drift(noise, rng);
         let mut io = 0.0;
         for i in 0..x.len() {
             let xh = perturb_magnitude(x[i], noise.sigma_magnitude, rng);
@@ -225,6 +221,8 @@ pub fn ddot_term(x: f64, y: f64, t: f64, k: f64, dphi_lambda: f64, dphi_d: f64) 
     2.0 * t * k * (-phi.sin()) * x * y + (t * t - k * k) * (x * x - y * y) / 2.0
 }
 
+/// One encoded operand value with its relative magnitude drift.
+#[inline]
 pub(crate) fn perturb_magnitude(v: f64, sigma: f64, rng: &mut GaussianSampler) -> f64 {
     if sigma > 0.0 {
         v + rng.normal(0.0, sigma * v.abs())
@@ -233,9 +231,28 @@ pub(crate) fn perturb_magnitude(v: f64, sigma: f64, rng: &mut GaussianSampler) -
     }
 }
 
+/// One DDot's relative phase drift as `(sin g, cos g)` — `(0, 1)`, with
+/// no draw, when phase noise is off.
+#[inline]
+pub(crate) fn phase_drift(noise: &NoiseModel, rng: &mut GaussianSampler) -> (f64, f64) {
+    if noise.sigma_phase_rad > 0.0 {
+        rng.normal(0.0, noise.sigma_phase_rad).sin_cos()
+    } else {
+        (0.0, 1.0)
+    }
+}
+
+/// One detected output's systematic gain `1 + N(0, sigma^2)`. Draws,
+/// so call it only when `sigma_systematic > 0`.
+#[inline]
+pub(crate) fn systematic_gain(noise: &NoiseModel, rng: &mut GaussianSampler) -> f64 {
+    1.0 + rng.normal(0.0, noise.sigma_systematic)
+}
+
+#[inline]
 pub(crate) fn apply_systematic(io: f64, noise: &NoiseModel, rng: &mut GaussianSampler) -> f64 {
     if noise.sigma_systematic > 0.0 {
-        io * (1.0 + rng.normal(0.0, noise.sigma_systematic))
+        io * systematic_gain(noise, rng)
     } else {
         io
     }

@@ -16,7 +16,7 @@
 
 use crate::backend::Fidelity;
 use crate::circuit::DdotCircuit;
-use crate::ddot::{perturb_magnitude, DDot, WavelengthCoefficients};
+use crate::ddot::{perturb_magnitude, phase_drift, systematic_gain, DDot, WavelengthCoefficients};
 use crate::noise_model::NoiseModel;
 use crate::quant::Quantizer;
 use lt_core::{GaussianSampler, Matrix64, MatrixView};
@@ -256,8 +256,12 @@ impl Dptc {
     }
 
     /// The analytic Eq. 9 one-shot MM with precomputed coefficients and a
-    /// caller-managed RNG — the hot path shared by [`Dptc::gemm`] and the
-    /// fault-injection entry points.
+    /// caller-managed RNG — the entry point of [`Dptc::matmul`] and the
+    /// fault-injection paths. It draws in the order one tile of
+    /// [`Dptc::gemm`] does — every `A` element row by row, every `B`
+    /// element column by column (the order the DDots read them), then
+    /// each output's phase and systematic realizations — and runs the
+    /// same MAC loop, [`noisy_mm_rows`].
     pub(crate) fn mm_noisy_with(
         &self,
         a: MatrixView<'_, f64>,
@@ -270,30 +274,45 @@ impl Dptc {
         let DptcConfig { nh, nv, nlambda } = self.config;
 
         // Encode each operand element once (shared noise realization).
+        let sigma = noise.sigma_magnitude;
         let mut a_hat = a.to_matrix();
-        for v in a_hat.data_mut() {
-            *v = perturb_magnitude(*v, noise.sigma_magnitude, rng);
-        }
-        // Transposed so each DDot's wavelength column is contiguous.
-        let bt = b.to_matrix().transpose();
-        let mut b_hat = bt;
-        for v in b_hat.data_mut() {
-            *v = perturb_magnitude(*v, noise.sigma_magnitude, rng);
-        }
+        perturb_tile(
+            a_hat.data_mut(),
+            nh,
+            nlambda,
+            nlambda,
+            DrawOrder::Rows,
+            sigma,
+            rng,
+        );
+        let mut b_hat = b.to_matrix();
+        perturb_tile(
+            b_hat.data_mut(),
+            nlambda,
+            nv,
+            nv,
+            DrawOrder::Columns,
+            sigma,
+            rng,
+        );
 
         let mut out = Matrix64::zeros(nh, nv);
         noisy_mm_rows(
-            a_hat.data(),
-            b_hat.data(),
-            nh,
-            nv,
-            nv,
-            nlambda,
-            nlambda,
+            TileOperands {
+                a: a_hat.data(),
+                a_stride: nlambda,
+                b: b_hat.data(),
+                b_stride: nv,
+                rows: nh,
+                cols: nv,
+                lambda: nlambda,
+            },
             noise,
             coeffs,
             rng,
             out.data_mut(),
+            nv,
+            None,
         );
         out
     }
@@ -343,37 +362,8 @@ impl Dptc {
         out
     }
 
-    /// The shared tiled-GEMM loop.
-    ///
-    /// The analytic path is the workspace's hottest loop (every recorded
-    /// forward pass lands here), so it is organized around three
-    /// invariants: every `B` tile is gathered, normalized, DAC-quantized,
-    /// and magnitude-perturbed exactly once per call (stored transposed
-    /// so each DDot reads its wavelength column contiguously); every `A`
-    /// tile once per row strip. Encoding noise is drawn at gather time
-    /// because that is when the DAC drives the modulator: a tile loaded
-    /// once and reused against many partners carries one encoding
-    /// realization — the same operand-reuse structure the paper's Eq. 6
-    /// counts DAC conversions by. The per-output noise model then needs
-    /// one `sin_cos` and two Gaussians per DDot, with a branch-free
-    /// multiply-add MAC loop in between. Noise work is confined to the
-    /// *valid* tile region: edge tiles (and especially the `m = 1`
-    /// matrix-vector products of autoregressive decode, which occupy one
-    /// row of a 12-row strip) never pay DAC-encoding or per-DDot draws
-    /// for zero-padded rows, columns, or wavelengths — padding is never
-    /// encoded, carries no signal, and its detector outputs are
-    /// discarded, so the model draws nothing for it. The circuit
-    /// fidelity keeps the straightforward gather-per-tile structure — it
-    /// is a validation path, not a hot one.
-    ///
-    /// Per-call fixed costs are hoisted out of this loop: the wavelength
-    /// transfer coefficients are passed in precomputed (the backend
-    /// caches them — the dispersion model is a config constant, not a
-    /// per-call quantity), and every tile staging buffer lives in
-    /// thread-local scratch so a decode token's ~25 matrix-vector calls
-    /// allocate nothing. Scratch reuse is sound without re-zeroing
-    /// because every loop below reads only the valid region it just
-    /// wrote (`rows_used x cols_used x lambda_used`).
+    /// The analytic tiled GEMM, returning a fresh `m x n` product (see
+    /// [`Dptc::gemm_tiled_analytic_into`]).
     pub(crate) fn gemm_tiled_analytic(
         &self,
         a: MatrixView<'_, f64>,
@@ -383,129 +373,143 @@ impl Dptc {
         seed: u64,
         coeffs: &WavelengthCoefficients,
     ) -> Matrix64 {
+        let mut out = Matrix64::zeros(a.rows(), b.cols());
+        self.gemm_tiled_analytic_into(a, b, bits, noise, seed, coeffs, out.data_mut());
+        out
+    }
+
+    /// The analytic tiled-GEMM loop, accumulating the product into `out`
+    /// (`m x n`, row-major, zeroed by the caller).
+    ///
+    /// This is the workspace's hottest loop (every noisy recorded forward
+    /// pass and every photonic decode token lands here), organized
+    /// around three invariants:
+    ///
+    /// * **One DAC drive per tile load.** Every `B` tile is gathered,
+    ///   normalized (`beta = max|.|`), quantized and magnitude-perturbed
+    ///   once per call; every `A` tile once per row strip, then reused
+    ///   against every column strip. Encoding noise is drawn at that
+    ///   point, so a tile reused against many partners carries one
+    ///   encoding realization — the operand reuse the paper's Eq. 6
+    ///   counts DAC conversions by. `beta == 0` marks an all-zero tile:
+    ///   it is never encoded, draws nothing, and its products are
+    ///   skipped.
+    /// * **Row-major tiles.** An `A` tile is `Nh x N_lambda`, a `B` tile
+    ///   `N_lambda x Nv`, both copied row by row from the operands, so
+    ///   the MAC ([`noisy_mm_rows`]) reads one wavelength's `B` entries
+    ///   for neighbouring output columns contiguously.
+    /// * **A fixed draw order.** Per call: every `B` tile (column strips
+    ///   outer, depth tiles inner; within a tile column by column, each
+    ///   column's wavelengths in order), then per row strip its `A`
+    ///   tiles (depth order; within a tile row by row) followed by its
+    ///   tile products (column strips outer, depth inner; within a
+    ///   product output by output in row-major order, phase then
+    ///   systematic). Only the valid region of an edge tile draws: zero
+    ///   padding is never encoded or detected, which is what lets an
+    ///   `m = 1` decode row skip the other rows of its strip.
+    ///
+    /// Tile staging buffers live in thread-local scratch, so a decode
+    /// token's GEMM calls allocate nothing here; every loop reads only
+    /// the region it just wrote. The wavelength coefficients come in
+    /// precomputed (the backend caches them per noise model).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold `m x n` entries.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm_tiled_analytic_into(
+        &self,
+        a: MatrixView<'_, f64>,
+        b: MatrixView<'_, f64>,
+        bits: u32,
+        noise: &NoiseModel,
+        seed: u64,
+        coeffs: &WavelengthCoefficients,
+        out: &mut [f64],
+    ) {
         let (m, d) = a.shape();
         let n = b.cols();
-        let quant = Quantizer::new(bits);
+        assert_eq!(out.len(), m * n, "analytic gemm output must be m x n");
+        let levels = f64::from(Quantizer::new(bits).positive_levels());
         let mut rng = GaussianSampler::new(seed);
         let DptcConfig { nh, nv, nlambda } = self.config;
-        let mut out = Matrix64::zeros(m, n);
         if m == 0 || n == 0 || d == 0 {
-            return out;
+            return;
         }
 
         let nd = d.div_ceil(nlambda);
         let nn = n.div_ceil(nv);
         let tlen_a = nh * nlambda;
-        let tlen_b = nv * nlambda;
+        let tlen_b = nlambda * nv;
 
         TILE_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let (b_tiles, beta_b, a_tiles, beta_a, tile_out, dequant) =
-                scratch.prepare(bits, nn * nd * tlen_b, nn * nd, nd * tlen_a, nd, nh * nv);
-            let levels = quant.positive_levels() as f64;
+            let (b_tiles, beta_b, a_tiles, beta_a) =
+                scratch.prepare(nn * nd * tlen_b, nn * nd, nd * tlen_a, nd);
 
-            // Gather, normalize, quantize, and magnitude-perturb every B tile
-            // once (the DAC drive), transposed to wavelength-contiguous
-            // columns. beta == 0 marks an all-zero tile (never encoded, so
-            // it consumes no noise and is skipped below).
             for (nj, ni) in (0..n).step_by(nv).enumerate() {
                 let cols_used = nv.min(n - ni);
                 for (dj, di) in (0..d).step_by(nlambda).enumerate() {
                     let lambda_used = nlambda.min(d - di);
-                    let tile = &mut b_tiles[(nj * nd + dj) * tlen_b..][..tlen_b];
-                    let mut beta = 0.0f64;
-                    for tl in 0..lambda_used {
-                        let brow = b.row(di + tl);
-                        for (tj, &v) in brow[ni..ni + cols_used].iter().enumerate() {
-                            tile[tj * nlambda + tl] = v;
-                            beta = beta.max(v.abs());
-                        }
-                    }
-                    if beta > 0.0 {
-                        encode_tile(
-                            tile,
-                            cols_used,
-                            lambda_used,
-                            nlambda,
-                            beta,
-                            levels,
-                            dequant,
-                            noise,
-                            &mut rng,
-                        );
-                    }
-                    beta_b[nj * nd + dj] = beta;
+                    beta_b[nj * nd + dj] = encode_tile(
+                        &mut b_tiles[(nj * nd + dj) * tlen_b..][..tlen_b],
+                        lambda_used,
+                        cols_used,
+                        nv,
+                        |tl| &b.row(di + tl)[ni..ni + cols_used],
+                        DrawOrder::Columns,
+                        levels,
+                        noise,
+                        &mut rng,
+                    );
                 }
             }
 
-            // Per-row-strip A tiles (encoded once per strip, reused by every
-            // column strip — one DAC drive per load) and the tile output.
             for mi in (0..m).step_by(nh) {
                 let rows_used = nh.min(m - mi);
                 for (dj, di) in (0..d).step_by(nlambda).enumerate() {
                     let lambda_used = nlambda.min(d - di);
-                    let tile = &mut a_tiles[dj * tlen_a..][..tlen_a];
-                    let mut beta = 0.0f64;
-                    for ti in 0..rows_used {
-                        let arow = a.row(mi + ti);
-                        for (tl, &v) in arow[di..di + lambda_used].iter().enumerate() {
-                            tile[ti * nlambda + tl] = v;
-                            beta = beta.max(v.abs());
-                        }
-                    }
-                    if beta > 0.0 {
-                        encode_tile(
-                            tile,
-                            rows_used,
-                            lambda_used,
-                            nlambda,
-                            beta,
-                            levels,
-                            dequant,
-                            noise,
-                            &mut rng,
-                        );
-                    }
-                    beta_a[dj] = beta;
+                    beta_a[dj] = encode_tile(
+                        &mut a_tiles[dj * tlen_a..][..tlen_a],
+                        rows_used,
+                        lambda_used,
+                        nlambda,
+                        |ti| &a.row(mi + ti)[di..di + lambda_used],
+                        DrawOrder::Rows,
+                        levels,
+                        noise,
+                        &mut rng,
+                    );
                 }
-                for nj in 0..nn {
-                    let ni = nj * nv;
-                    let cols_used = nv.min(n - ni);
+                for (nj, ni) in (0..n).step_by(nv).enumerate() {
                     for dj in 0..nd {
                         let (ba, bb) = (beta_a[dj], beta_b[nj * nd + dj]);
                         if ba == 0.0 || bb == 0.0 {
                             continue; // all-zero tile contributes nothing
                         }
-                        let lambda_used = nlambda.min(d - dj * nlambda);
-                        let at = &a_tiles[dj * tlen_a..][..tlen_a];
-                        let btile = &b_tiles[(nj * nd + dj) * tlen_b..][..tlen_b];
                         noisy_mm_rows(
-                            at,
-                            btile,
-                            rows_used,
-                            cols_used,
-                            nv,
-                            nlambda,
-                            lambda_used,
+                            TileOperands {
+                                a: &a_tiles[dj * tlen_a..][..tlen_a],
+                                a_stride: nlambda,
+                                b: &b_tiles[(nj * nd + dj) * tlen_b..][..tlen_b],
+                                b_stride: nv,
+                                rows: rows_used,
+                                cols: nv.min(n - ni),
+                                lambda: nlambda.min(d - dj * nlambda),
+                            },
                             noise,
                             coeffs,
                             &mut rng,
-                            tile_out,
+                            &mut out[mi * n + ni..],
+                            n,
+                            // Rescale and accumulate (analog-domain
+                            // accumulation).
+                            Some(ba * bb),
                         );
-                        // Rescale and accumulate (analog-domain accumulation).
-                        let scale = ba * bb;
-                        for ti in 0..rows_used {
-                            let src = &tile_out[ti * nv..(ti + 1) * nv];
-                            let dst = out.row_mut(mi + ti);
-                            for (tj, &v) in src[..cols_used].iter().enumerate() {
-                                dst[ni + tj] += v * scale;
-                            }
-                        }
                     }
                 }
             }
         });
-        out
     }
 
     /// Circuit-fidelity tiled GEMM: gather-per-tile, field propagation
@@ -606,17 +610,7 @@ impl Dptc {
     }
 }
 
-/// Normalizes a gathered tile into `[-1, 1]`, quantizes it (the DAC),
-/// and draws its magnitude-noise realization — one encoding per tile
-/// load, shared by every product the loaded tile participates in.
-///
-/// Only the valid region is encoded: `outer` rows of `inner` entries at
-/// stride `stride` (`stride = N_lambda` for both the row-major `A` tile
-/// and the transposed `B` tile). Zero-padded entries are never driven
-/// onto a modulator, so they consume no DAC work and no noise draws —
-/// and `quantize_unit(0) == 0` exactly, so skipping them is
-/// value-identical on the noiseless path.
-/// Reusable tile staging buffers for [`Dptc::gemm_tiled_analytic`].
+/// Reusable tile staging buffers for [`Dptc::gemm_tiled_analytic_into`].
 ///
 /// One instance per thread (see [`TILE_SCRATCH`]): the analytic GEMM is
 /// called hundreds of times per decoded token with identical small
@@ -630,58 +624,29 @@ struct TileScratch {
     beta_b: Vec<f64>,
     a_tiles: Vec<f64>,
     beta_a: Vec<f64>,
-    tile_out: Vec<f64>,
-    /// Bit-width the dequantization table below was built for (0 = none).
-    quant_bits: u32,
-    /// `dequant[q] == q / levels` for `q in 0..=levels`, computed with
-    /// the same division [`Quantizer::quantize_unit`] performs — so a
-    /// table lookup reproduces the quantizer's output bit-for-bit while
-    /// skipping the per-element divide and `round()` (see
-    /// [`encode_tile`]).
-    dequant: Vec<f64>,
 }
 
 impl TileScratch {
-    /// Grows each buffer to at least the requested length, rebuilds the
-    /// dequantization table if the bit-width changed, and returns
-    /// exact-length mutable slices plus the table.
-    #[allow(clippy::type_complexity)]
+    /// Grows each buffer to at least the requested length and returns
+    /// exact-length mutable slices.
     fn prepare(
         &mut self,
-        bits: u32,
         b_tiles: usize,
         beta_b: usize,
         a_tiles: usize,
         beta_a: usize,
-        tile_out: usize,
-    ) -> (
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &[f64],
-    ) {
+    ) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
         fn grow(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
             if buf.len() < len {
                 buf.resize(len, 0.0);
             }
             &mut buf[..len]
         }
-        if self.quant_bits != bits {
-            let levels = (1u32 << (bits - 1)) - 1;
-            self.dequant.clear();
-            self.dequant
-                .extend((0..=levels).map(|q| f64::from(q) / f64::from(levels)));
-            self.quant_bits = bits;
-        }
         (
             grow(&mut self.b_tiles, b_tiles),
             grow(&mut self.beta_b, beta_b),
             grow(&mut self.a_tiles, a_tiles),
             grow(&mut self.beta_a, beta_a),
-            grow(&mut self.tile_out, tile_out),
-            &self.dequant,
         )
     }
 }
@@ -693,104 +658,313 @@ thread_local! {
         std::cell::RefCell::new(TileScratch::default());
 }
 
-/// DAC quantization here is a bit-for-bit reimplementation of
-/// [`Quantizer::quantize_unit`] tuned for this loop: the division by
-/// `levels` becomes a lookup in the precomputed `dequant` table (built
-/// with the very same division), and `round()` — a libm call at the
-/// baseline x86-64 target — becomes an add-and-truncate on the absolute
-/// value with the sign restored by `copysign` (which also reproduces
-/// `round`'s signed zero for negative inputs rounding to zero). The
-/// add-and-truncate equals round-half-away-from-zero exactly because
-/// `|x| <= levels < 2^15`, so `|x| + 0.5` is computed without rounding
-/// error.
+/// The order a tile's encoding-noise draws walk its valid region.
+#[derive(Clone, Copy)]
+enum DrawOrder {
+    /// Row by row (an `A` tile: each DDot row's operand vector in turn).
+    Rows,
+    /// Column by column (a `B` tile: each output column's operand
+    /// vector in turn, as the DDots read it).
+    Columns,
+}
+
+/// Gathers and encodes one tile — the DAC drive — and returns its
+/// normalization scale `beta = max|v|`.
+///
+/// The valid region is `rows` rows of `cols` entries at row stride
+/// `stride`; row `r` is copied from `src(r)` (`cols` entries). Zero
+/// padding beyond the region is never driven onto a modulator, so it
+/// consumes no DAC work and no noise draws. Three passes:
+///
+/// 1. The gather, folding every `|v|` into the lane-wise [`AbsMax`].
+///    An all-zero tile (`beta == 0`) is left as gathered and draws
+///    nothing; the caller skips its products.
+/// 2. [`quantize_unit`] normalizes into `[-1, 1]` and quantizes to
+///    `levels` positive levels, element by element (no draws, so the
+///    order is free).
+/// 3. [`perturb_tile`] draws the magnitude noise in `order`.
 #[allow(clippy::too_many_arguments)]
-fn encode_tile(
+fn encode_tile<'s>(
     tile: &mut [f64],
-    outer: usize,
-    inner: usize,
+    rows: usize,
+    cols: usize,
     stride: usize,
-    beta: f64,
+    src: impl Fn(usize) -> &'s [f64],
+    order: DrawOrder,
     levels: f64,
-    dequant: &[f64],
     noise: &NoiseModel,
     rng: &mut GaussianSampler,
-) {
-    let inv = 1.0 / beta;
-    let quantize = |v: f64| {
-        let x = (v * inv).clamp(-1.0, 1.0) * levels;
-        dequant[(x.abs() + 0.5) as usize].copysign(x)
-    };
-    for o in 0..outer {
-        let row = &mut tile[o * stride..o * stride + inner];
-        if noise.sigma_magnitude > 0.0 {
-            for v in row.iter_mut() {
-                *v = perturb_magnitude(quantize(*v), noise.sigma_magnitude, rng);
-            }
-        } else {
-            for v in row.iter_mut() {
-                *v = quantize(*v);
+) -> f64 {
+    let mut max = AbsMax::default();
+    for r in 0..rows {
+        max.copy_row(&mut tile[r * stride..][..cols], src(r));
+    }
+    let beta = max.finish();
+    if beta > 0.0 {
+        let inv = 1.0 / beta;
+        for r in 0..rows {
+            for v in &mut tile[r * stride..][..cols] {
+                *v = quantize_unit(*v * inv, levels);
             }
         }
+        perturb_tile(tile, rows, cols, stride, order, noise.sigma_magnitude, rng);
+    }
+    beta
+}
+
+/// The largest `|v|` over a tile, ignoring NaN entries exactly as a
+/// `beta.max(v.abs())` chain from `0.0` does; `0.0` for an all-zero
+/// tile.
+///
+/// Four independent lanes keep the comparisons off one serial
+/// dependency chain. The result does not depend on the order entries
+/// are visited in: every candidate is a non-NaN value `>= +0.0`, and
+/// the maximum of such a set is unique.
+#[derive(Default)]
+struct AbsMax([f64; 4]);
+
+impl AbsMax {
+    #[inline(always)]
+    fn fold(lane: &mut f64, v: f64) {
+        let v = v.abs();
+        // `v > lane` is false for NaN, so NaN never wins.
+        if v > *lane {
+            *lane = v;
+        }
+    }
+
+    /// Copies `src` into `dst` (equal lengths), folding in every entry.
+    #[inline(always)]
+    fn copy_row(&mut self, dst: &mut [f64], src: &[f64]) {
+        debug_assert_eq!(dst.len(), src.len(), "tile row length mismatch");
+        let mut d = dst.chunks_exact_mut(4);
+        let mut s = src.chunks_exact(4);
+        for (d, s) in (&mut d).zip(&mut s) {
+            for ((lane, o), &v) in self.0.iter_mut().zip(d).zip(s) {
+                *o = v;
+                Self::fold(lane, v);
+            }
+        }
+        for ((lane, o), &v) in self.0.iter_mut().zip(d.into_remainder()).zip(s.remainder()) {
+            *o = v;
+            Self::fold(lane, v);
+        }
+    }
+
+    fn finish(self) -> f64 {
+        let mut beta = 0.0;
+        for lane in self.0 {
+            Self::fold(&mut beta, lane);
+        }
+        beta
     }
 }
 
-/// The per-output DDot loop shared by the one-shot MM and the tiled
-/// GEMM hot path. Operands are already magnitude-perturbed: `a_rows` is
-/// row-major with `nlambda`-entry rows, `bt_rows` is the *transposed*
-/// right operand (`nlambda`-entry rows), so both stream contiguously.
-/// Only `rows x cols` outputs are detected — a decode-style `m = 1`
-/// strip computes one row, not the full `Nh x Nv` crossbar — and each
-/// output draws one phase realization (folded into the precomputed
-/// angle-addition tables — see [`WavelengthCoefficients::msin`]) and
-/// one systematic realization; the wavelength loop is a branch-free
-/// multiply-add chain over two interleaved accumulators (the strict
-/// single-chain version serializes on FP-add latency). `out` keeps row
-/// stride `out_stride` (`>= cols`); entries beyond `rows x cols` are
-/// left untouched.
-#[allow(clippy::too_many_arguments)]
-fn noisy_mm_rows(
-    a_rows: &[f64],
-    bt_rows: &[f64],
+/// `2^52`: adding and then subtracting it rounds a non-negative double
+/// below `2^52` to an integer (nearest, ties to even).
+const ROUND_MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// DAC quantization of a normalized value `v` to `levels` positive
+/// levels: bit-for-bit [`Quantizer::quantize_unit`] for every non-NaN
+/// `v` (including `±inf` and `±0`), without its libm `round()` call.
+///
+/// `round` is half-away-from-zero, i.e. `floor(|x| + 0.5)` with the
+/// sign restored by `copysign` (which also reproduces `round`'s `-0.0`
+/// for small negative inputs). `|x| <= levels < 2^15`, so `|x| + 0.5`
+/// is exact; the magic-number add rounds it to a neighbouring integer
+/// and one compare-and-step turns that into the floor. The division by
+/// `levels` is the quantizer's own.
+///
+/// A NaN input encodes as a zero carrying the NaN's sign bit (the DAC
+/// has no NaN code), where `quantize_unit` would return NaN. The
+/// analytic path has always encoded a NaN entry this way.
+#[inline(always)]
+fn quantize_unit(v: f64, levels: f64) -> f64 {
+    let x = v.clamp(-1.0, 1.0) * levels;
+    let t = x.abs() + 0.5;
+    let r = (t + ROUND_MAGIC) - ROUND_MAGIC;
+    let floor = r - if r > t { 1.0 } else { 0.0 };
+    // `floor >= 0.0` holds for every non-NaN input and fails for NaN.
+    let code = if floor >= 0.0 { floor } else { 0.0 };
+    (code / levels).copysign(x)
+}
+
+/// Draws the relative magnitude noise of a tile's valid region (`rows`
+/// rows of `cols` entries at row stride `stride`) in `order`. A no-op,
+/// drawing nothing, when `sigma` is zero.
+fn perturb_tile(
+    tile: &mut [f64],
     rows: usize,
     cols: usize,
-    out_stride: usize,
-    nlambda: usize,
-    lambda_used: usize,
+    stride: usize,
+    order: DrawOrder,
+    sigma: f64,
+    rng: &mut GaussianSampler,
+) {
+    if sigma <= 0.0 {
+        return;
+    }
+    // A local copy of the sampler lets its state live in registers for
+    // the whole loop (through `rng` it is stored back on every draw).
+    let mut g = rng.clone();
+    match order {
+        DrawOrder::Rows => {
+            for r in 0..rows {
+                for v in &mut tile[r * stride..][..cols] {
+                    *v = perturb_magnitude(*v, sigma, &mut g);
+                }
+            }
+        }
+        DrawOrder::Columns => {
+            for c in 0..cols {
+                for v in tile[c..].iter_mut().step_by(stride).take(rows) {
+                    *v = perturb_magnitude(*v, sigma, &mut g);
+                }
+            }
+        }
+    }
+    *rng = g;
+}
+
+/// The encoded operands of one tile product: `rows x lambda` entries of
+/// `a` at row stride `a_stride` and `lambda x cols` entries of `b` at
+/// row stride `b_stride`, both row-major.
+struct TileOperands<'a> {
+    a: &'a [f64],
+    a_stride: usize,
+    b: &'a [f64],
+    b_stride: usize,
+    rows: usize,
+    cols: usize,
+    lambda: usize,
+}
+
+/// Output columns the MAC computes at once.
+const LANES: usize = 4;
+
+/// The DDot MAC loop shared by the one-shot MM and the tiled GEMM: the
+/// Eq. 9 transfer of a `rows x cols` block of DDot outputs over
+/// already-encoded operands.
+///
+/// Only the `rows x cols` outputs are detected — a decode-style
+/// `m = 1` strip computes one row, not the full `Nh x Nv` crossbar.
+/// Each output draws one phase realization (folded into the
+/// precomputed angle-addition tables — see
+/// [`WavelengthCoefficients::msin`]) and then one systematic
+/// realization, output by output in row-major order; the MAC itself
+/// draws nothing, so the draws for [`LANES`] neighbouring outputs are
+/// taken before their MAC runs.
+///
+/// The MAC runs across output-column lanes: wavelength `l` multiplies
+/// `a[i][l]` into `LANES` contiguous entries of `b`'s row `l`. Every
+/// output still sees exactly the scalar operation sequence of a
+/// per-output loop — even wavelengths into one accumulator, odd ones
+/// into a second (a single chain serializes on FP-add latency), summed
+/// at the end — with separate multiplies and adds (no FMA), so lane
+/// width never changes a bit.
+///
+/// With `scale == None` each output is stored into `out` (row stride
+/// `out_stride`); with `Some(s)` it is rescaled and accumulated,
+/// `out += v * s`. Entries outside `rows x cols` are left untouched.
+#[allow(clippy::too_many_arguments)]
+fn noisy_mm_rows(
+    ops: TileOperands<'_>,
     noise: &NoiseModel,
     coeffs: &WavelengthCoefficients,
     rng: &mut GaussianSampler,
     out: &mut [f64],
+    out_stride: usize,
+    scale: Option<f64>,
 ) {
-    let drift = noise.sigma_phase_rad > 0.0;
-    let mult0 = &coeffs.mult0[..lambda_used];
-    let msin = &coeffs.msin[..lambda_used];
-    let imb = &coeffs.imbalance[..lambda_used];
-    for i in 0..rows {
-        let a_row = &a_rows[i * nlambda..i * nlambda + lambda_used];
-        let out_row = &mut out[i * out_stride..i * out_stride + cols];
-        for (j, out_ij) in out_row.iter_mut().enumerate() {
-            let b_col = &bt_rows[j * nlambda..j * nlambda + lambda_used];
-            let (sg, cg) = if drift {
-                rng.normal(0.0, noise.sigma_phase_rad).sin_cos()
-            } else {
-                (0.0, 1.0)
-            };
-            let (mut io0, mut io1) = (0.0, 0.0);
-            let mut l = 0;
-            while l + 1 < lambda_used {
-                let (x0, y0) = (a_row[l], b_col[l]);
-                let (x1, y1) = (a_row[l + 1], b_col[l + 1]);
-                io0 += (mult0[l] * cg - msin[l] * sg) * x0 * y0 + imb[l] * (x0 * x0 - y0 * y0);
-                io1 += (mult0[l + 1] * cg - msin[l + 1] * sg) * x1 * y1
-                    + imb[l + 1] * (x1 * x1 - y1 * y1);
-                l += 2;
-            }
-            if l < lambda_used {
-                let (x, y) = (a_row[l], b_col[l]);
-                io0 += (mult0[l] * cg - msin[l] * sg) * x * y + imb[l] * (x * x - y * y);
-            }
-            *out_ij = crate::ddot::apply_systematic(io0 + io1, noise, rng);
+    let mac = Mac {
+        mult0: &coeffs.mult0[..ops.lambda],
+        msin: &coeffs.msin[..ops.lambda],
+        imb: &coeffs.imbalance[..ops.lambda],
+        noise,
+    };
+    let store = |dst: &mut [f64], v: &[f64]| match scale {
+        Some(s) => dst.iter_mut().zip(v).for_each(|(o, &v)| *o += v * s),
+        None => dst.copy_from_slice(v),
+    };
+    // Sampler state in registers for the whole loop, as in `perturb_tile`.
+    let mut g = rng.clone();
+    for i in 0..ops.rows {
+        let a_row = &ops.a[i * ops.a_stride..][..ops.lambda];
+        let out_row = &mut out[i * out_stride..][..ops.cols];
+        let mut j = 0;
+        while j + LANES <= ops.cols {
+            let v = mac.outputs::<LANES>(a_row, &ops.b[j..], ops.b_stride, &mut g);
+            store(&mut out_row[j..j + LANES], &v);
+            j += LANES;
         }
+        for j in j..ops.cols {
+            let v = mac.outputs::<1>(a_row, &ops.b[j..], ops.b_stride, &mut g);
+            store(&mut out_row[j..=j], &v);
+        }
+    }
+    *rng = g;
+}
+
+/// The per-call invariants of [`noisy_mm_rows`]: the wavelength
+/// coefficients of the tile's `lambda` valid wavelengths and the noise
+/// model.
+struct Mac<'a> {
+    mult0: &'a [f64],
+    msin: &'a [f64],
+    imb: &'a [f64],
+    noise: &'a NoiseModel,
+}
+
+impl Mac<'_> {
+    /// `W` neighbouring outputs of one row: their draws in output order,
+    /// then the two-accumulator Eq. 9 MAC of `a_row` against the first
+    /// `W` entries of each of `lambda` rows of `b` (row stride
+    /// `b_stride`).
+    #[inline(always)]
+    fn outputs<const W: usize>(
+        &self,
+        a_row: &[f64],
+        b: &[f64],
+        b_stride: usize,
+        rng: &mut GaussianSampler,
+    ) -> [f64; W] {
+        let systematic = self.noise.sigma_systematic > 0.0;
+        let (mut sg, mut cg, mut gain) = ([0.0; W], [0.0; W], [1.0; W]);
+        for k in 0..W {
+            (sg[k], cg[k]) = phase_drift(self.noise, rng);
+            if systematic {
+                gain[k] = systematic_gain(self.noise, rng);
+            }
+        }
+        let lambda = self.mult0.len();
+        let (mut io0, mut io1) = ([0.0; W], [0.0; W]);
+        let mut l = 0;
+        while l + 1 < lambda {
+            let (x0, x1) = (a_row[l], a_row[l + 1]);
+            let y0 = &b[l * b_stride..][..W];
+            let y1 = &b[(l + 1) * b_stride..][..W];
+            for k in 0..W {
+                io0[k] += (self.mult0[l] * cg[k] - self.msin[l] * sg[k]) * x0 * y0[k]
+                    + self.imb[l] * (x0 * x0 - y0[k] * y0[k]);
+                io1[k] += (self.mult0[l + 1] * cg[k] - self.msin[l + 1] * sg[k]) * x1 * y1[k]
+                    + self.imb[l + 1] * (x1 * x1 - y1[k] * y1[k]);
+            }
+            l += 2;
+        }
+        if l < lambda {
+            let x = a_row[l];
+            let y = &b[l * b_stride..][..W];
+            for k in 0..W {
+                io0[k] += (self.mult0[l] * cg[k] - self.msin[l] * sg[k]) * x * y[k]
+                    + self.imb[l] * (x * x - y[k] * y[k]);
+            }
+        }
+        let mut v = [0.0; W];
+        for k in 0..W {
+            let io = io0[k] + io1[k];
+            v[k] = if systematic { io * gain[k] } else { io };
+        }
+        v
     }
 }
 

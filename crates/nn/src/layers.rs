@@ -253,8 +253,8 @@ impl Linear {
         let y = ctx
             .matmul_prequantized_as(self.role, &xq, &wq)
             .add_row_broadcast(&self.b.value);
-        self.cache_x = Some(xq);
-        self.cache_w = Some(wq);
+        self.cache_x = Some(xq.into_owned());
+        self.cache_w = Some(wq.into_owned());
         y
     }
 

@@ -15,6 +15,7 @@
 
 use crate::tensor::Tensor;
 use lt_dptc::Quantizer;
+use std::borrow::Cow;
 
 /// True integer execution settings for weight-bearing layers.
 ///
@@ -83,17 +84,19 @@ impl QuantConfig {
     }
 
     /// Fake-quantizes a tensor (per-tensor max-abs scale). Identity when
-    /// disabled or when the tensor is all-zero.
-    pub fn apply(&self, t: &Tensor) -> Tensor {
+    /// disabled or when the tensor is all-zero — then the tensor is
+    /// borrowed, not copied, so an fp32 product reads its operands (the
+    /// weight included) in place.
+    pub fn apply<'a>(&self, t: &'a Tensor) -> Cow<'a, Tensor> {
         match self.bits {
-            None => t.clone(),
+            None => Cow::Borrowed(t),
             Some(bits) => {
                 let q = Quantizer::new(bits);
                 let scale = t.max_abs() as f64;
                 if scale == 0.0 {
-                    return t.clone();
+                    return Cow::Borrowed(t);
                 }
-                t.map(|v| q.fake_quantize(v as f64, scale) as f32)
+                Cow::Owned(t.map(|v| q.fake_quantize(v as f64, scale) as f32))
             }
         }
     }
@@ -106,7 +109,7 @@ mod tests {
     #[test]
     fn fp32_is_identity() {
         let t = Tensor::from_vec(1, 3, vec![0.1, -0.7, 0.33]);
-        assert_eq!(QuantConfig::fp32().apply(&t), t);
+        assert!(matches!(QuantConfig::fp32().apply(&t), Cow::Borrowed(b) if *b == t));
     }
 
     #[test]
@@ -129,7 +132,7 @@ mod tests {
     #[test]
     fn zero_tensor_passes_through() {
         let t = Tensor::zeros(2, 2);
-        assert_eq!(QuantConfig::low_bit(4).apply(&t), t);
+        assert!(matches!(QuantConfig::low_bit(4).apply(&t), Cow::Borrowed(b) if *b == t));
     }
 
     #[test]
@@ -137,7 +140,7 @@ mod tests {
         for cfg in [QuantConfig::int8(), QuantConfig::int4()] {
             assert!(cfg.bits.is_none());
             let t = Tensor::from_vec(1, 3, vec![0.1, -0.7, 0.33]);
-            assert_eq!(cfg.apply(&t), t);
+            assert_eq!(*cfg.apply(&t), t);
         }
         assert_eq!(
             QuantConfig::int8().integer,
