@@ -35,26 +35,32 @@
 //! output-column lanes. The `decode_gemm_*` rows are the per-token
 //! calls of the `photonic-decode` serving workload.
 //!
-//! Medians of three alternating runs of this bench on a shared 2-core
-//! x86-64 host (AVX2/AVX-512F present but unused: baseline target),
-//! us per call, before -> after:
+//! Without phase drift every output of a wavelength shares one Eq. 9
+//! multiplier, so the MAC has a second instance for that case which
+//! computes it once per wavelength; the noiseless rows
+//! (`one_shot_det`, `decode_gemm_noiseless_*`,
+//! `tiled_gemm_quantized_8bit`) run there.
 //!
-//! | row                                  | before | after |
-//! |--------------------------------------|-------:|------:|
-//! | `decode_gemm_noisy/[1,32]x[32,96]`    |   91.6 |  60.3 |
-//! | `decode_gemm_noiseless/[1,32]x[32,96]` |   33.9 |  19.0 |
-//! | `decode_gemm_noisy/[1,32]x[32,128]`   |  111.9 |  76.8 |
-//! | `decode_gemm_noisy/[1,128]x[128,32]`  |  115.3 |  73.5 |
-//! | `decode_gemm_noisy/[8,32]x[32,96]`    |  211.7 | 157.5 |
-//! | `tiled_gemm_noisy_4bit/64x64x64`      | 1702.2 | 1321.0 |
-//! | `one_shot_noisy/flat(lt-core)`        |   13.9 |  11.0 |
-//! | `one_shot_det/flat(lt-core)`          |    3.8 |   4.7 |
+//! Medians of three alternating runs of this bench on a 2-core x86-64
+//! host (AVX2/AVX-512F present but unused: baseline target), us per
+//! call, before -> after:
 //!
-//! The host was loaded during these runs (a quiet run of the first
-//! row reads about 50 -> 35 us). The deterministic one-shot row is the
-//! one that got slower: a noiseless MAC-bound product spends its time
-//! in the MAC, and on the baseline SSE2 target the four-lane loop is
-//! about 10% slower than the old scalar per-output loop.
+//! | row                                      | before | after |
+//! |------------------------------------------|-------:|------:|
+//! | `decode_gemm_noisy/[1,32]x[32,96]`        |   45.3 |  30.6 |
+//! | `decode_gemm_noiseless/[1,32]x[32,96]`    |   21.7 |   9.2 |
+//! | `decode_gemm_noisy/[1,32]x[32,128]`       |   61.4 |  38.4 |
+//! | `decode_gemm_noisy/[1,128]x[128,32]`      |   58.3 |  41.5 |
+//! | `decode_gemm_noisy/[8,32]x[32,96]`        |  109.3 |  85.3 |
+//! | `tiled_gemm_noisy_4bit/64x64x64`          |  864.0 | 700.9 |
+//! | `tiled_gemm_quantized_8bit/197x64x197`    | 2383.6 | 1804.0 |
+//! | `one_shot_noisy/flat(lt-core)`            |    7.6 |   5.7 |
+//! | `one_shot_det/flat(lt-core)`              |    2.2 |   1.7 |
+//!
+//! With a single MAC instance for both cases, the two MAC-bound
+//! noiseless rows were slower than before the rewrite (`one_shot_det`
+//! 2.4 us, `tiled_gemm_quantized_8bit` 2887 us in runs alternating with
+//! the ones above); the noisy rows do not change between the two.
 
 use lt_bench::timing::bench;
 use lt_core::{ComputeBackend, GaussianSampler, Matrix64, RunCtx};
@@ -191,6 +197,14 @@ fn main() {
         });
         println!("{}", r.row());
     }
+    // The noiseless quantized reference the accuracy experiments run:
+    // MAC-bound, no draws.
+    let a = rand_matrix(197, 64, 3);
+    let b = rand_matrix(64, 197, 4);
+    let r = bench("tiled_gemm_quantized_8bit/197x64x197", || {
+        core.gemm_quantized(a.view(), b.view(), 8)
+    });
+    println!("{}", r.row());
 
     // Decode-shaped backend calls at 8 bits: the per-token
     // matrix-vector products of a dim-32 model (QKV/FFN-up, FFN-up at

@@ -11,7 +11,7 @@
 use crate::ddot::WavelengthCoefficients;
 use crate::dptc::{Dptc, DptcConfig};
 use crate::noise_model::NoiseModel;
-use lt_core::{blocked_gemm, row_blocks, split_seed, ComputeBackend, Matrix64, MatrixView, RunCtx};
+use lt_core::{blocked_gemm, ComputeBackend, Matrix64, MatrixView, RunCtx};
 use std::sync::Arc;
 
 /// Simulation fidelity of a DPTC matrix product.
@@ -235,48 +235,6 @@ impl ComputeBackend for DptcBackend {
         // fidelity — thread scheduling cannot reorder noise draws,
         // because no two strips share a stream.
         blocked_gemm(self, a, b, ctx)
-    }
-
-    fn gemm_into(
-        &self,
-        a: MatrixView<'_, f64>,
-        b: MatrixView<'_, f64>,
-        ctx: &mut RunCtx,
-        out: &mut Matrix64,
-    ) {
-        // The analytic fidelity runs `gemm`'s blocked execution (same
-        // partition, same block seeds) with every row block writing
-        // straight into the caller's buffer.
-        let (Fidelity::AnalyticNoisy { noise, seed }, Some(coeffs)) = (self.fidelity, &self.coeffs)
-        else {
-            *out = self.gemm(a, b, ctx);
-            return;
-        };
-        assert_eq!(
-            a.cols(),
-            b.rows(),
-            "gemm shape mismatch: {:?} x {:?}",
-            a.shape(),
-            b.shape()
-        );
-        let (m, k) = a.shape();
-        let n = b.cols();
-        out.reset_zeroed(m, n);
-        let call_seed = ctx.next_seed();
-        for (idx, (r0, rows)) in row_blocks(m, self.preferred_block_rows())
-            .into_iter()
-            .enumerate()
-        {
-            self.core.gemm_tiled_analytic_into(
-                a.block(r0, 0, rows, k),
-                b,
-                self.bits,
-                &noise,
-                seed ^ split_seed(call_seed, idx as u64),
-                coeffs,
-                &mut out.data_mut()[r0 * n..(r0 + rows) * n],
-            );
-        }
     }
 
     fn preferred_block_rows(&self) -> usize {

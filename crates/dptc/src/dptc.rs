@@ -257,11 +257,11 @@ impl Dptc {
 
     /// The analytic Eq. 9 one-shot MM with precomputed coefficients and a
     /// caller-managed RNG — the entry point of [`Dptc::matmul`] and the
-    /// fault-injection paths. It draws in the order one tile of
-    /// [`Dptc::gemm`] does — every `A` element row by row, every `B`
-    /// element column by column (the order the DDots read them), then
-    /// each output's phase and systematic realizations — and runs the
-    /// same MAC loop, [`noisy_mm_rows`].
+    /// fault-injection paths. The operands are not quantized. Draw
+    /// order: the magnitude noise of `A` row by row, then of `B` column
+    /// by column, then each output's phase and systematic realizations,
+    /// output by output in row-major order. The MAC is the tiled GEMM's,
+    /// [`noisy_mm_rows`].
     pub(crate) fn mm_noisy_with(
         &self,
         a: MatrixView<'_, f64>,
@@ -362,24 +362,8 @@ impl Dptc {
         out
     }
 
-    /// The analytic tiled GEMM, returning a fresh `m x n` product (see
-    /// [`Dptc::gemm_tiled_analytic_into`]).
-    pub(crate) fn gemm_tiled_analytic(
-        &self,
-        a: MatrixView<'_, f64>,
-        b: MatrixView<'_, f64>,
-        bits: u32,
-        noise: &NoiseModel,
-        seed: u64,
-        coeffs: &WavelengthCoefficients,
-    ) -> Matrix64 {
-        let mut out = Matrix64::zeros(a.rows(), b.cols());
-        self.gemm_tiled_analytic_into(a, b, bits, noise, seed, coeffs, out.data_mut());
-        out
-    }
-
-    /// The analytic tiled-GEMM loop, accumulating the product into `out`
-    /// (`m x n`, row-major, zeroed by the caller).
+    /// The analytic tiled GEMM: the `m x n` product under `noise`, with
+    /// `bits`-bit DACs and one noise stream seeded by `seed`.
     ///
     /// This is the workspace's hottest loop (every noisy recorded forward
     /// pass and every photonic decode token lands here), organized
@@ -412,12 +396,7 @@ impl Dptc {
     /// token's GEMM calls allocate nothing here; every loop reads only
     /// the region it just wrote. The wavelength coefficients come in
     /// precomputed (the backend caches them per noise model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not hold `m x n` entries.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gemm_tiled_analytic_into(
+    pub(crate) fn gemm_tiled_analytic(
         &self,
         a: MatrixView<'_, f64>,
         b: MatrixView<'_, f64>,
@@ -425,16 +404,15 @@ impl Dptc {
         noise: &NoiseModel,
         seed: u64,
         coeffs: &WavelengthCoefficients,
-        out: &mut [f64],
-    ) {
+    ) -> Matrix64 {
         let (m, d) = a.shape();
         let n = b.cols();
-        assert_eq!(out.len(), m * n, "analytic gemm output must be m x n");
+        let mut out = Matrix64::zeros(m, n);
         let levels = f64::from(Quantizer::new(bits).positive_levels());
         let mut rng = GaussianSampler::new(seed);
         let DptcConfig { nh, nv, nlambda } = self.config;
         if m == 0 || n == 0 || d == 0 {
-            return;
+            return out;
         }
 
         let nd = d.div_ceil(nlambda);
@@ -500,7 +478,7 @@ impl Dptc {
                             noise,
                             coeffs,
                             &mut rng,
-                            &mut out[mi * n + ni..],
+                            &mut out.data_mut()[mi * n + ni..],
                             n,
                             // Rescale and accumulate (analog-domain
                             // accumulation).
@@ -510,6 +488,7 @@ impl Dptc {
                 }
             }
         });
+        out
     }
 
     /// Circuit-fidelity tiled GEMM: gather-per-tile, field propagation
@@ -610,7 +589,7 @@ impl Dptc {
     }
 }
 
-/// Reusable tile staging buffers for [`Dptc::gemm_tiled_analytic_into`].
+/// Reusable tile staging buffers for [`Dptc::gemm_tiled_analytic`].
 ///
 /// One instance per thread (see [`TILE_SCRATCH`]): the analytic GEMM is
 /// called hundreds of times per decoded token with identical small
@@ -861,7 +840,8 @@ const LANES: usize = 4;
 /// per-output loop — even wavelengths into one accumulator, odd ones
 /// into a second (a single chain serializes on FP-add latency), summed
 /// at the end — with separate multiplies and adds (no FMA), so lane
-/// width never changes a bit.
+/// width never changes a bit. The loop has two instances, on whether
+/// `noise` draws a phase drift (see [`Mac::rows`]).
 ///
 /// With `scale == None` each output is stored into `out` (row stride
 /// `out_stride`); with `Some(s)` it is rescaled and accumulated,
@@ -882,25 +862,12 @@ fn noisy_mm_rows(
         imb: &coeffs.imbalance[..ops.lambda],
         noise,
     };
-    let store = |dst: &mut [f64], v: &[f64]| match scale {
-        Some(s) => dst.iter_mut().zip(v).for_each(|(o, &v)| *o += v * s),
-        None => dst.copy_from_slice(v),
-    };
     // Sampler state in registers for the whole loop, as in `perturb_tile`.
     let mut g = rng.clone();
-    for i in 0..ops.rows {
-        let a_row = &ops.a[i * ops.a_stride..][..ops.lambda];
-        let out_row = &mut out[i * out_stride..][..ops.cols];
-        let mut j = 0;
-        while j + LANES <= ops.cols {
-            let v = mac.outputs::<LANES>(a_row, &ops.b[j..], ops.b_stride, &mut g);
-            store(&mut out_row[j..j + LANES], &v);
-            j += LANES;
-        }
-        for j in j..ops.cols {
-            let v = mac.outputs::<1>(a_row, &ops.b[j..], ops.b_stride, &mut g);
-            store(&mut out_row[j..=j], &v);
-        }
+    if noise.sigma_phase_rad > 0.0 {
+        mac.rows::<true>(&ops, &mut g, out, out_stride, scale);
+    } else {
+        mac.rows::<false>(&ops, &mut g, out, out_stride, scale);
     }
     *rng = g;
 }
@@ -916,12 +883,46 @@ struct Mac<'a> {
 }
 
 impl Mac<'_> {
+    /// The body of [`noisy_mm_rows`]. `DRIFT` is whether the noise model
+    /// draws a phase drift; without one, every output of a wavelength
+    /// shares the Eq. 9 multiplier `mult0 * 1 - msin * 0`, which the
+    /// compiler then computes once per wavelength instead of once per
+    /// output lane.
+    #[inline(always)]
+    fn rows<const DRIFT: bool>(
+        &self,
+        ops: &TileOperands<'_>,
+        rng: &mut GaussianSampler,
+        out: &mut [f64],
+        out_stride: usize,
+        scale: Option<f64>,
+    ) {
+        let store = |dst: &mut [f64], v: &[f64]| match scale {
+            Some(s) => dst.iter_mut().zip(v).for_each(|(o, &v)| *o += v * s),
+            None => dst.copy_from_slice(v),
+        };
+        for i in 0..ops.rows {
+            let a_row = &ops.a[i * ops.a_stride..][..ops.lambda];
+            let out_row = &mut out[i * out_stride..][..ops.cols];
+            let mut j = 0;
+            while j + LANES <= ops.cols {
+                let v = self.outputs::<LANES, DRIFT>(a_row, &ops.b[j..], ops.b_stride, rng);
+                store(&mut out_row[j..j + LANES], &v);
+                j += LANES;
+            }
+            for j in j..ops.cols {
+                let v = self.outputs::<1, DRIFT>(a_row, &ops.b[j..], ops.b_stride, rng);
+                store(&mut out_row[j..=j], &v);
+            }
+        }
+    }
+
     /// `W` neighbouring outputs of one row: their draws in output order,
     /// then the two-accumulator Eq. 9 MAC of `a_row` against the first
     /// `W` entries of each of `lambda` rows of `b` (row stride
     /// `b_stride`).
     #[inline(always)]
-    fn outputs<const W: usize>(
+    fn outputs<const W: usize, const DRIFT: bool>(
         &self,
         a_row: &[f64],
         b: &[f64],
@@ -929,9 +930,12 @@ impl Mac<'_> {
         rng: &mut GaussianSampler,
     ) -> [f64; W] {
         let systematic = self.noise.sigma_systematic > 0.0;
-        let (mut sg, mut cg, mut gain) = ([0.0; W], [0.0; W], [1.0; W]);
+        // `(0, 1)` is `phase_drift`'s value when phase noise is off.
+        let (mut sg, mut cg, mut gain) = ([0.0; W], [1.0; W], [1.0; W]);
         for k in 0..W {
-            (sg[k], cg[k]) = phase_drift(self.noise, rng);
+            if DRIFT {
+                (sg[k], cg[k]) = phase_drift(self.noise, rng);
+            }
             if systematic {
                 gain[k] = systematic_gain(self.noise, rng);
             }
